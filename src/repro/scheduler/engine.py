@@ -81,6 +81,28 @@ demotion/promotion crossings, and policies with a ``lookahead_k`` window
 replace the admission walk with a k-job look-ahead that scores every
 fitting window candidate and admits the best one (dry-run placement plans
 in placed mode).
+
+**Incremental boundaries**: a boundary costs what changed, not the queue
+length, and reproduces a full re-sort and re-walk bit for bit.
+
+* Ranked jobs sit in an admission queue kept in ``(runtime key,
+  sequence)`` order by bisect inserts and removes.  A key is evaluated
+  when the job arrives, when its ``allocated`` flag flips, once the clock
+  comes within ``_WAKE_SLACK`` of the crossing its policy announced through
+  ``next_priority_change_hours``, and -- for ``progress_keyed`` policies --
+  at every boundary for running jobs.
+* Predicted crossings are remembered until the job's mode flips or its
+  key is re-evaluated; the exact crossing is computed only for jobs whose
+  prediction could be the next event, so event times never move.
+* In placed mode a boundary where nothing changed since the last selection
+  (no arrival, completion, fault transition or hit, and no re-evaluated key
+  moved in the queue) keeps the previous placements: the walk reproduces
+  its own outcome.  Not so where the walk reads the clock (EASY backfill)
+  or job progress (look-ahead scores), which always re-walk.
+* The placed walk never plans for a job whose TP has fewer free slots than
+  the job's demand, and stops once no slot is free and no running job is
+  left to re-hold; the preemptive re-place starts from copies of per-TP
+  empty templates of the current fault set.
 """
 
 from __future__ import annotations
@@ -99,6 +121,11 @@ from repro.scheduler.report import ClusterReport
 
 #: Tolerance for "this phase is over" comparisons on accumulated floats.
 _EPS = 1e-9
+#: How far (hours) ahead of a job's predicted priority crossing its cached
+#: key is re-evaluated and its exact crossing computed.  Far above the
+#: float noise of the accrued clocks, so no crossing is missed; evaluating
+#: a key early is harmless.
+_WAKE_SLACK = 1e-6
 
 
 class _JobRuntime:
@@ -121,11 +148,23 @@ class _JobRuntime:
         "in_system",
         "allocated",
         "nodes",
+        "groups",
+        "key",
+        "wake",
     )
 
     def __init__(self, spec: JobSpec, sequence: int) -> None:
         self.spec = spec
         self.sequence = sequence
+        #: TP groups the job needs (placed mode's unit of demand).
+        self.groups = spec.gpus // spec.tp_size
+        #: Admission-queue entry ``(runtime key, sequence)``; ``None`` while
+        #: the job is not ranked (not in the system, or running immovably).
+        self.key: tuple[tuple[Any, ...], int] | None = None
+        #: Predicted instant of the next autonomous priority change
+        #: (dynamic-priority policies): ``inf`` when none is coming,
+        #: ``-inf`` when stale (mode flipped or key just re-evaluated).
+        self.wake = -math.inf
         self.remaining_work = math.inf if spec.work_hours is None else spec.work_hours
         self.restart_debt = 0.0
         self.productive = 0.0
@@ -169,15 +208,20 @@ class _JobRuntime:
 class _TpPlacementState:
     """Free-node bookkeeping for one TP size under one fault set.
 
+    Per domain it counts the free (unheld) nodes and the TP-group slots
+    they make.  The free-node list itself is needed only when a plan
+    commits, so a hold or release just adjusts the counts and drops the
+    domain's list, to be recomputed from the held set on demand.
+
     Rebuilt on every fault transition; domains whose ``PlacementGroup``
     object survived the transition (architectures keep untouched domains
-    identity-stable, e.g. NVL units without faults) carry their free lists
+    identity-stable, e.g. NVL units without faults) carry their state
     over, so a rebuild costs O(changed domains), not O(n_nodes).
     """
 
     __slots__ = (
-        "faults", "groups", "free", "avail", "avail_total", "npg",
-        "node_group", "buckets",
+        "faults", "groups", "free", "count", "avail", "avail_total", "npg",
+        "node_group", "buckets", "spreads",
     )
 
     def __init__(
@@ -199,8 +243,8 @@ class _TpPlacementState:
             prior_of = list(prior.groups)
         elif prior is not None:
             prior_index = {id(group): i for i, group in enumerate(prior.groups)}
-        self.free: list[list[int]] = []
-        self.avail: list[int] = []
+        self.free: list[list[int] | None] = []
+        self.count: list[int] = []
         for index, group in enumerate(groups):
             j = (
                 prior_index.get(id(group))
@@ -210,13 +254,14 @@ class _TpPlacementState:
             if j is not None and prior is not None:
                 # Same domain object => same healthy membership, and stale
                 # states were kept in step with the held set by
-                # ``_placed_sync``, so the old free list is still exact.
+                # ``_placed_sync``, so the old counts are still exact.
                 self.free.append(prior.free[j])
-                self.avail.append(prior.avail[j])
+                self.count.append(prior.count[j])
             else:
                 free = [node for node in group.nodes if node not in held]
                 self.free.append(free)
-                self.avail.append(len(free) // self.npg[index])
+                self.count.append(len(free))
+        self.avail = [count // npg for count, npg in zip(self.count, self.npg)]
         self.avail_total = sum(self.avail)
         # Slot-count bands: slots -> ascending domain indices, the iteration
         # structure behind banded placement policies.
@@ -225,9 +270,8 @@ class _TpPlacementState:
             self.buckets.setdefault(slots, []).append(index)
         if prior_of is not None:
             # Positional identity: indices are unchanged, so only the
-            # domains that were replaced need their entries refreshed (the
-            # prior state is discarded, so adopting its dict is safe).
-            self.node_group: dict[int, int] = prior.node_group
+            # domains that were replaced need their entries refreshed.
+            self.node_group: dict[int, int] = dict(prior.node_group)
             for index, group in enumerate(groups):
                 if prior_of[index] is not group:
                     for node in group.nodes:
@@ -238,6 +282,24 @@ class _TpPlacementState:
                 for index, group in enumerate(groups)
                 for node in group.nodes
             }
+        # Node set -> ((domain index, nodes in it), ...): a running job's
+        # nodes are held and released again and again under one fault set.
+        self.spreads: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
+
+    def copy(self) -> _TpPlacementState:
+        """An independent copy; domain maps are shared, free lists recomputed."""
+        clone = object.__new__(_TpPlacementState)
+        clone.faults = self.faults
+        clone.groups = self.groups
+        clone.npg = self.npg
+        clone.node_group = self.node_group
+        clone.spreads = self.spreads
+        clone.free = [None] * len(self.free)
+        clone.count = self.count.copy()
+        clone.avail = self.avail.copy()
+        clone.avail_total = self.avail_total
+        clone.buckets = {slots: band.copy() for slots, band in self.buckets.items()}
+        return clone
 
     def set_avail(self, index: int, slots: int) -> None:
         """Move a domain to its new slot band and update the totals."""
@@ -250,12 +312,61 @@ class _TpPlacementState:
         self.avail_total += slots - old
         self.avail[index] = slots
 
-    def refresh(self, index: int, held: set[int]) -> None:
-        """Recompute one domain's free list from the global held set."""
-        self.free[index] = [
-            node for node in self.groups[index].nodes if node not in held
-        ]
-        self.set_avail(index, len(self.free[index]) // self.npg[index])
+    def shift(self, nodes: frozenset[int], delta: int) -> None:
+        """Account ``nodes`` just released (``delta=1``) or held (``-1``)."""
+        spread = self.spreads.get(nodes)
+        if spread is None:
+            per_domain: dict[int, int] = {}
+            for node in sorted(nodes):
+                index = self.node_group.get(node)
+                if index is not None:
+                    per_domain[index] = per_domain.get(index, 0) + 1
+            spread = self.spreads[nodes] = tuple(per_domain.items())
+        for index, count in spread:
+            self.count[index] += delta * count
+            self.free[index] = None
+            self.set_avail(index, self.count[index] // self.npg[index])
+
+    def free_nodes(self, index: int, held: set[int]) -> list[int]:
+        """The domain's free nodes in deployment order."""
+        free = self.free[index]
+        if free is None:
+            free = [node for node in self.groups[index].nodes if node not in held]
+            self.free[index] = free
+        return free
+
+
+class _AdmissionQueue:
+    """Ranked jobs in ascending ``(runtime key, sequence)`` order.
+
+    Kept sorted incrementally -- a bisect insert or remove per arrival,
+    completion or key change -- instead of re-sorting at every boundary.
+    The sequence suffix keeps entries unique even for a policy whose keys
+    tie.  Insert and remove report the entry's index, so a re-keyed job
+    that lands where it was is known not to have changed the order.
+    """
+
+    __slots__ = ("entries", "jobs")
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[tuple[Any, ...], int]] = []
+        self.jobs: list[_JobRuntime] = []
+
+    def insert(self, rt: _JobRuntime, key: tuple[Any, ...]) -> int:
+        entry = (key, rt.sequence)
+        index = bisect.bisect_left(self.entries, entry)
+        self.entries.insert(index, entry)
+        self.jobs.insert(index, rt)
+        rt.key = entry
+        return index
+
+    def remove(self, rt: _JobRuntime) -> int:
+        assert rt.key is not None
+        index = bisect.bisect_left(self.entries, rt.key)
+        del self.entries[index]
+        del self.jobs[index]
+        rt.key = None
+        return index
 
 
 class ClusterScheduler:
@@ -362,12 +473,22 @@ class ClusterScheduler:
         # instead of recomputing over the whole node set.
         self._delta_states: dict[int, DeltaReplayState] = {}
         # Placed-mode bookkeeping: memoized placement domains per (fault
-        # set, TP), the nodes currently held by allocated jobs, and per-TP
-        # free-node states (rebuilt whenever the fault set moves).
+        # set, TP), the nodes currently held by allocated jobs, per-TP
+        # free-node states (rebuilt whenever the fault set moves), and per-TP
+        # empty states of the current fault set (the preemptive re-place
+        # starts from copies of these).
         self._groups: dict[tuple[frozenset[int], int], tuple[PlacementGroup, ...]] = {}
         self._placed_cap: dict[tuple[frozenset[int], int], int] = {}
         self._held: set[int] = set()
         self._tp_states: dict[int, _TpPlacementState] = {}
+        self._templates: dict[int, _TpPlacementState] = {}
+        self._tp_sizes = sorted({job.tp_size for job in self.jobs})
+        # Per-run state (see ``run``): the admission queue, whether running
+        # jobs are ranked in it (all modes except placed non-preemptive,
+        # where running jobs are immovable), and the running jobs.
+        self._queue = _AdmissionQueue()
+        self._rank_running = True
+        self._running: dict[int, _JobRuntime] = {}
 
     # ------------------------------------------------------------- capacity
     def _capacity(self, faults: frozenset[int], tp_size: int) -> int:
@@ -449,30 +570,37 @@ class ClusterScheduler:
             self._tp_states[tp_size] = state
         return state
 
-    def _placed_sync(self, nodes: frozenset[int], skip: int | None = None) -> None:
-        """Refresh the free lists of every domain touching ``nodes``.
+    def _template(self, tp_size: int, faults: frozenset[int]) -> _TpPlacementState:
+        """The nothing-held placement state of ``tp_size`` under ``faults``."""
+        template = self._templates.get(tp_size)
+        if template is None or template.faults != faults:
+            template = _TpPlacementState(
+                faults,
+                self._placement_groups(faults, tp_size),
+                set(),
+                prior=template,
+            )
+            self._templates[tp_size] = template
+        return template
 
-        Free lists are a pure function of (domain nodes, held set), so a
-        refresh after any hold/release keeps every TP size consistent
-        (``skip`` names a TP size already updated in place).  Stale states
-        (built for an older fault set) are refreshed too -- harmlessly,
-        since they are rebuilt wholesale on their next use.
+    def _placed_sync(
+        self, nodes: frozenset[int], delta: int, skip: int | None = None
+    ) -> None:
+        """Account ``nodes`` just released (``delta=1``) or held (``-1``).
+
+        Every TP size's state is kept in step with the held set (``skip``
+        names a TP size already updated in place), stale states (built
+        for an older fault set) too: a rebuild carries their surviving
+        domains over.
         """
         for tp_size, state in self._tp_states.items():
-            if tp_size == skip:
-                continue
-            touched = {
-                state.node_group[node]
-                for node in nodes
-                if node in state.node_group
-            }
-            for index in sorted(touched):
-                state.refresh(index, self._held)
+            if tp_size != skip:
+                state.shift(nodes, delta)
 
     def _release_nodes(self, nodes: frozenset[int]) -> None:
         if nodes:
             self._held -= nodes
-            self._placed_sync(nodes)
+            self._placed_sync(nodes, 1)
 
     def _place_plan(
         self, state: _TpPlacementState, needed: int
@@ -527,24 +655,15 @@ class ClusterScheduler:
         taken: list[int] = []
         for index, take in plan:
             count = take * state.npg[index]
-            taken.extend(state.free[index][:count])
-            del state.free[index][:count]
+            free = state.free_nodes(index, self._held)
+            taken.extend(free[:count])
+            del free[:count]
+            state.count[index] -= count
             state.set_avail(index, state.avail[index] - take)
         nodes = frozenset(taken)
         self._held |= nodes
-        self._placed_sync(nodes, skip=tp_size)
+        self._placed_sync(nodes, -1, skip=tp_size)
         return nodes
-
-    def _try_place(
-        self, rt: _JobRuntime, faults: frozenset[int]
-    ) -> frozenset[int] | None:
-        """Carve the job's TP groups out of free domain nodes, or fail clean."""
-        spec = rt.spec
-        state = self._tp_state(spec.tp_size, faults)
-        plan = self._place_plan(state, spec.gpus // spec.tp_size)
-        if plan is None:
-            return None
-        return self._commit_plan(state, plan, spec.tp_size)
 
     # ----------------------------------------------------------- allocation
     def _backfill_window(
@@ -694,16 +813,18 @@ class ClusterScheduler:
             )
 
     def _select(
-        self, in_system: list[_JobRuntime], faults: frozenset[int], t: float
+        self, ranked: list[_JobRuntime], faults: frozenset[int], t: float
     ) -> set[int]:
-        """Greedy policy-ordered allocation; returns the selected sequences."""
+        """Greedy policy-ordered allocation; returns the selected sequences.
+
+        ``ranked`` is every in-system job in admission-queue order.
+        """
         policy = self.policy
-        key = self._runtime_key
         selected: set[int] = set()
         chosen: list[_JobRuntime] = []
         used = 0
         if policy.preemptive:
-            admission = sorted(in_system, key=key)
+            admission = ranked
         else:
             # Running jobs outrank every queued job: only a capacity drop
             # (or completion) releases their allocation.  A running job the
@@ -711,17 +832,19 @@ class ClusterScheduler:
             # queue at its priority position, so under a strict-order policy
             # it still blocks every younger job (no backfill past the
             # descheduled queue head).
-            displaced: list[_JobRuntime] = []
-            for rt in sorted((rt for rt in in_system if rt.allocated), key=key):
+            displaced: set[int] = set()
+            for rt in ranked:
+                if not rt.allocated:
+                    continue
                 if used + rt.spec.gpus <= self._capacity(faults, rt.spec.tp_size):
                     selected.add(rt.sequence)
                     chosen.append(rt)
                     used += rt.spec.gpus
                 else:
-                    displaced.append(rt)
-            admission = sorted(
-                [rt for rt in in_system if not rt.allocated] + displaced, key=key
-            )
+                    displaced.add(rt.sequence)
+            admission = [
+                rt for rt in ranked if not rt.allocated or rt.sequence in displaced
+            ]
         if policy.lookahead_k is not None:
             self._lookahead_fill(admission, selected, used, faults)
             return selected
@@ -750,73 +873,129 @@ class ClusterScheduler:
         return selected
 
     def _select_placed(
-        self, in_system: list[_JobRuntime], faults: frozenset[int], t: float
+        self, ranked: list[_JobRuntime], faults: frozenset[int], t: float
     ) -> dict[int, frozenset[int]]:
-        """Placed-mode allocation: concrete nodes per selected job."""
+        """Placed-mode allocation: concrete nodes per selected job.
+
+        Preemptive policies re-place every in-system job (``ranked`` holds
+        them all) and get the complete allocation back.  Running jobs are
+        immovable under non-preemptive policies (their concrete nodes are
+        healthy: fault hits released theirs already, so only completions
+        free nodes); ``ranked`` then holds just the queued jobs and the
+        result names only the newly placed ones.
+        """
         policy = self.policy
-        key = self._runtime_key
+        preemptive = policy.preemptive
         placements: dict[int, frozenset[int]] = {}
         chosen: list[_JobRuntime] = []
-        if policy.preemptive:
-            # Re-place everyone in priority order; a job keeps its exact
-            # nodes when no higher-priority job claimed them (stability --
-            # an unmoved job is never charged).
+        # Running jobs still ahead in the walk (only preemptive walks
+        # meet any).
+        ahead = 0
+        if preemptive:
+            # Re-place everyone in priority order, starting from empty
+            # copies of this fault set's per-TP templates.
             self._held.clear()
-            self._tp_states.clear()
-            admission = sorted(in_system, key=key)
-        else:
-            # Running jobs are immovable in placed mode: their concrete
-            # nodes are healthy (fault hits released theirs already), so
-            # only completions free nodes.
-            for rt in in_system:
-                if rt.allocated:
-                    placements[rt.sequence] = rt.nodes
-                    chosen.append(rt)
-            admission = sorted(
-                [rt for rt in in_system if not rt.allocated], key=key
-            )
+            self._tp_states = {
+                tp_size: self._template(tp_size, faults).copy()
+                for tp_size in self._tp_sizes
+            }
+            ahead = len(self._running)
+        elif self.backfill and policy.strict_order:
+            # Backfill reservations project the running jobs' completions.
+            chosen = list(self._running.values())
         if policy.lookahead_k is not None:
-            self._lookahead_place(admission, placements, faults)
+            self._lookahead_place(ranked, placements, faults)
             return placements
 
-        def attempt(rt: _JobRuntime) -> frozenset[int] | None:
-            # A still-allocated job keeps its exact nodes whenever no
-            # higher-priority job claimed them (stability: an unmoved job
-            # is never charged); otherwise it is placed like any other.
-            if (
-                policy.preemptive
-                and rt.allocated
-                and rt.nodes
-                and not (rt.nodes & self._held)
-            ):
-                self._held |= rt.nodes
-                self._placed_sync(rt.nodes)
-                return rt.nodes
-            return self._try_place(rt, faults)
-
+        held = self._held
+        states = {
+            tp_size: self._tp_state(tp_size, faults) for tp_size in self._tp_sizes
+        }
+        open_slots = any(state.avail_total for state in states.values())
         shadow: float | None = None
         extra = 0.0
-        for rt in admission:
+        for rt in ranked:
+            if not (ahead or open_slots):
+                # Nothing is left to re-hold and no slot is free: every
+                # remaining (queued) job would fail.
+                break
+            if preemptive and rt.allocated:
+                ahead -= 1
+            consumes = False
             if shadow is not None:
                 admit, consumes = self._may_backfill(rt, t, shadow, extra)
                 if not admit:
                     continue
-                nodes = attempt(rt)
-                if nodes is not None:
-                    placements[rt.sequence] = nodes
-                    chosen.append(rt)
-                    if consumes:
-                        extra -= rt.spec.gpus
-                continue
-            nodes = attempt(rt)
-            if nodes is not None:
-                placements[rt.sequence] = nodes
-                chosen.append(rt)
-            elif policy.strict_order:
-                if not self.backfill:
-                    break
-                shadow, extra = self._backfill_window(rt, chosen, faults, t)
+            nodes = rt.nodes
+            if preemptive and rt.allocated and nodes and held.isdisjoint(nodes):
+                # A still-allocated job keeps its exact nodes whenever no
+                # higher-priority job claimed them (stability: an unmoved
+                # job is never charged).  Checked for every running job:
+                # its nodes can survive outside the current domains.
+                held |= nodes
+                self._placed_sync(nodes, -1)
+            else:
+                state = states[rt.spec.tp_size]
+                # Demand bound: a TP with fewer free slots than the job's
+                # TP groups cannot host it, so no plan is attempted.
+                plan = (
+                    self._place_plan(state, rt.groups)
+                    if state.avail_total >= rt.groups
+                    else None
+                )
+                if plan is None:
+                    if shadow is None and policy.strict_order:
+                        if not self.backfill:
+                            break
+                        shadow, extra = self._backfill_window(rt, chosen, faults, t)
+                    continue
+                nodes = self._commit_plan(state, plan, rt.spec.tp_size)
+            open_slots = any(state.avail_total for state in states.values())
+            placements[rt.sequence] = nodes
+            chosen.append(rt)
+            if consumes:
+                extra -= rt.spec.gpus
         return placements
+
+    # ----------------------------------------------------- admission queue
+    def _rank(self, rt: _JobRuntime) -> bool:
+        """(Re-)rank ``rt`` under a fresh runtime key.
+
+        Returns whether the admission order changed.  The job's wake-up
+        prediction goes stale: evaluating a key may move its priority
+        clock (a Gittins promotion resets the demotion clock).
+        """
+        queue = self._queue
+        old = queue.remove(rt) if rt.key is not None else -1
+        rt.wake = -math.inf
+        return queue.insert(rt, self._runtime_key(rt)) != old
+
+    def _flipped(self, rt: _JobRuntime) -> bool:
+        """Re-rank a job whose ``allocated`` flag just flipped.
+
+        Returns whether the admission order changed.  A job that starts
+        running where running jobs are not ranked simply leaves the queue:
+        that is the selection's own outcome, not a change to it.
+        """
+        if rt.allocated:
+            self._running[rt.sequence] = rt
+        else:
+            del self._running[rt.sequence]
+        if rt.allocated and not self._rank_running:
+            rt.wake = -math.inf
+            self._queue.remove(rt)
+            return False
+        return self._rank(rt)
+
+    def _priority_change(self, rt: _JobRuntime) -> float | None:
+        return self.policy.next_priority_change_hours(
+            rt.spec,
+            rt.remaining_work,
+            rt.sequence,
+            attained_hours=rt.productive,
+            waiting_hours=rt.waiting,
+            allocated=rt.allocated,
+        )
 
     # ------------------------------------------------------------ the sweep
     def run(self) -> ClusterReport:
@@ -825,10 +1004,26 @@ class ClusterScheduler:
             self._validate_runs_to_completion()
         elif horizon <= 0:
             raise ValueError("horizon_hours must be positive")
+        policy = self.policy
         placed = self.placement is not None
-        self.policy.reset()
+        policy.reset()
         self._held.clear()
         self._tp_states.clear()
+        queue = self._queue = _AdmissionQueue()
+        running = self._running = {}
+        self._rank_running = not placed or policy.preemptive
+        dynamic = policy.dynamic_priority
+        progress_keyed = policy.progress_keyed
+        # A selection whose inputs (admission order, fault set, allocations)
+        # are those its predecessor left behind reproduces that outcome --
+        # unless the walk reads the clock (EASY backfill's shadow) or the
+        # jobs' progress (look-ahead scores).
+        reusable = (
+            placed
+            and policy.lookahead_k is None
+            and not (self.backfill and policy.strict_order)
+        )
+        changed = True
 
         # Blast-radius accounting (placed mode): per fault transition that
         # introduces new down nodes, how many running jobs it descheduled.
@@ -851,10 +1046,11 @@ class ClusterScheduler:
         empty: frozenset[int] = frozenset()
         faults: frozenset[int] = intervals[0].nodes if intervals else empty
 
-        def settle_completions(now: float) -> None:
+        def settle_completions(now: float) -> bool:
             """Mark allocated jobs whose work and restart debt are both done."""
             nonlocal unfinished, in_system
             released: set[int] = set()
+            finished = False
             for rt in in_system:
                 if rt.allocated and rt.restart_debt <= _EPS and rt.remaining_work <= _EPS:
                     rt.restart_debt = 0.0
@@ -863,12 +1059,18 @@ class ClusterScheduler:
                     rt.end = now
                     rt.allocated = False
                     rt.in_system = False
+                    del running[rt.sequence]
+                    if rt.key is not None:
+                        queue.remove(rt)
                     released |= rt.nodes
                     rt.nodes = frozenset()
                     unfinished -= 1
-            in_system = [rt for rt in in_system if rt.in_system]
-            if placed:
-                self._release_nodes(frozenset(released))
+                    finished = True
+            if finished:
+                in_system = [rt for rt in in_system if rt.in_system]
+                if placed:
+                    self._release_nodes(frozenset(released))
+            return finished
 
         t = 0.0
         while unfinished:
@@ -881,31 +1083,46 @@ class ClusterScheduler:
                 t_next = interval_ends[interval_index]
             if pending_index < len(pending):
                 t_next = min(t_next, pending[pending_index].spec.submit_hour)
-            dynamic = self.policy.dynamic_priority
+            # Dynamic-priority policies (Gittins) drift between queues as
+            # attained service / waiting time accumulate; the engine wakes
+            # exactly at the next crossing so no demotion or promotion is
+            # missed.  Jobs paying restart debt change neither clock, and
+            # the debt pay-off is an event of its own.  A job's predicted
+            # crossing (``wake``) lasts until its mode flips or its key is
+            # re-evaluated; the exact crossing is computed only for jobs
+            # whose prediction could be the next event.
+            due: list[_JobRuntime] = []
+            predicted: list[_JobRuntime] = []
             for rt in in_system:
-                if dynamic and rt.restart_debt <= _EPS:
-                    # Dynamic-priority policies (Gittins) drift between
-                    # queues as attained service / waiting time accumulate;
-                    # wake exactly at the next crossing so the boundary
-                    # re-sort never misses a demotion or promotion.  Jobs
-                    # paying restart debt change neither clock, and the
-                    # debt pay-off is an event of its own.
-                    change = self.policy.next_priority_change_hours(
-                        rt.spec,
-                        rt.remaining_work,
-                        rt.sequence,
-                        attained_hours=rt.productive,
-                        waiting_hours=rt.waiting,
-                        allocated=rt.allocated,
-                    )
+                debt_free = rt.restart_debt <= _EPS
+                if rt.allocated:
+                    if not debt_free:
+                        t_next = min(t_next, t + rt.restart_debt)
+                    elif rt.remaining_work < math.inf:
+                        t_next = min(t_next, t + rt.remaining_work)
+                if not dynamic:
+                    continue
+                if rt.wake == -math.inf:
+                    change = self._priority_change(rt)
+                    if change is None:
+                        rt.wake = math.inf
+                        continue
+                    rt.wake = t + change
+                    if debt_free and change > _EPS:
+                        t_next = min(t_next, rt.wake)
+                    due.append(rt)
+                elif rt.wake < math.inf:
+                    due.append(rt)
+                    if debt_free:
+                        predicted.append(rt)
+            for rt in predicted:
+                # Predictions never overshoot the exact crossing by more
+                # than float noise, so the rest cannot be the minimum.
+                if rt.wake <= t_next + _WAKE_SLACK:
+                    change = self._priority_change(rt)
+                    rt.wake = math.inf if change is None else t + change
                     if change is not None and change > _EPS:
                         t_next = min(t_next, t + change)
-                if not rt.allocated:
-                    continue
-                if rt.restart_debt > _EPS:
-                    t_next = min(t_next, t + rt.restart_debt)
-                elif rt.remaining_work < math.inf:
-                    t_next = min(t_next, t + rt.remaining_work)
             if horizon is not None:
                 t_next = min(t_next, horizon)
             if not math.isfinite(t_next):
@@ -948,6 +1165,7 @@ class ClusterScheduler:
                     else empty
                 )
                 new_faults = faults - previous
+                changed = True
 
             # ------------------------------------------------------ arrivals
             while (
@@ -957,10 +1175,13 @@ class ClusterScheduler:
                 rt = pending[pending_index]
                 rt.in_system = True
                 in_system.append(rt)
+                self._rank(rt)
                 pending_index += 1
+                changed = True
 
             # --------------------------------------------------- completions
-            settle_completions(t)
+            if settle_completions(t):
+                changed = True
 
             # ------------------------------------- deterministic fault hits
             if placed and new_faults:
@@ -984,6 +1205,7 @@ class ClusterScheduler:
                         rt.restart_debt += debt
                         rt.restart_charged += debt
                         rt.allocated = False
+                        self._flipped(rt)
                         released |= rt.nodes
                         rt.nodes = frozenset()
                         killed += 1
@@ -991,37 +1213,65 @@ class ClusterScheduler:
                 max_blast_radius = max(max_blast_radius, killed)
                 self._release_nodes(frozenset(released))
 
+            # ------------------------------------------------ key validity
+            # A cached key stays exact until the job's announced priority
+            # crossing; keys that read running jobs' progress are refreshed
+            # every boundary.
+            for rt in due:
+                if rt.key is not None and rt.wake <= t + _WAKE_SLACK:
+                    changed |= self._rank(rt)
+            if progress_keyed:
+                for rt in in_system:
+                    if rt.allocated and rt.key is not None:
+                        changed |= self._rank(rt)
+
             # -------------------------------------------------- reallocation
             if placed:
-                placements = self._select_placed(in_system, faults, t)
-                for rt in in_system:
-                    now_allocated = rt.sequence in placements
-                    new_nodes = placements.get(rt.sequence, frozenset())
-                    # Policy pressure moves placed jobs (fault hits
-                    # released their victims above): eviction and
-                    # migration both checkpoint and pay the restart
-                    # overhead on resume.  A preemptive reshuffle that
-                    # leaves a job no room *anywhere* after a capacity
-                    # drop is a squeeze, not a preemption -- it waits
-                    # uncharged, matching the expected-value engine.
-                    if (
-                        rt.allocated
-                        and (not now_allocated or new_nodes != rt.nodes)
-                        and (
-                            now_allocated
-                            or rt.spec.gpus
-                            <= self._placed_capacity(faults, rt.spec.tp_size)
-                        )
-                    ):
-                        rt.preemptions += 1
-                        rt.restart_debt += rt.spec.restart_overhead_hours
-                        rt.restart_charged += rt.spec.restart_overhead_hours
-                    if now_allocated and rt.first_start is None:
-                        rt.first_start = t
-                    rt.allocated = now_allocated
-                    rt.nodes = new_nodes
+                if changed or not reusable:
+                    changed = False
+                    placements = self._select_placed(queue.jobs, faults, t)
+                    # Only placed jobs, and under a preemptive policy the
+                    # previously running ones, can change.
+                    walked = [runtimes[sequence] for sequence in placements]
+                    if policy.preemptive:
+                        walked += [
+                            rt for sequence, rt in running.items()
+                            if sequence not in placements
+                        ]
+                    for rt in walked:
+                        now_allocated = rt.sequence in placements
+                        new_nodes = placements.get(rt.sequence, empty)
+                        # Policy pressure moves placed jobs (fault hits
+                        # released their victims above): eviction and
+                        # migration both checkpoint and pay the restart
+                        # overhead on resume.  A preemptive reshuffle that
+                        # leaves a job no room *anywhere* after a capacity
+                        # drop is a squeeze, not a preemption -- it waits
+                        # uncharged, matching the expected-value engine.
+                        if (
+                            rt.allocated
+                            and (
+                                not now_allocated
+                                or (new_nodes is not rt.nodes and new_nodes != rt.nodes)
+                            )
+                            and (
+                                now_allocated
+                                or rt.spec.gpus
+                                <= self._placed_capacity(faults, rt.spec.tp_size)
+                            )
+                        ):
+                            rt.preemptions += 1
+                            rt.restart_debt += rt.spec.restart_overhead_hours
+                            rt.restart_charged += rt.spec.restart_overhead_hours
+                        if now_allocated and rt.first_start is None:
+                            rt.first_start = t
+                        flipped = rt.allocated != now_allocated
+                        rt.allocated = now_allocated
+                        rt.nodes = new_nodes
+                        if flipped:
+                            changed |= self._flipped(rt)
             else:
-                selected = self._select(in_system, faults, t)
+                selected = self._select(queue.jobs, faults, t)
                 for rt in in_system:
                     now_allocated = rt.sequence in selected
                     # Classify the eviction per job, independent of
@@ -1042,7 +1292,9 @@ class ClusterScheduler:
                         rt.restart_charged += rt.spec.restart_overhead_hours
                     if now_allocated and rt.first_start is None:
                         rt.first_start = t
-                    rt.allocated = now_allocated
+                    if rt.allocated != now_allocated:
+                        rt.allocated = now_allocated
+                        self._flipped(rt)
 
                 # --------------------------------------- fault restart debt
                 if new_faults:

@@ -7,7 +7,9 @@ hold an allocation.  It does so through the knobs the engine consumes:
   runs first).  Static policies derive it purely from the job spec via
   :meth:`SchedulingPolicy.priority_key`; history-aware policies (Gittins,
   the optimizer) also read the job's attained service, waiting time and
-  allocation state.
+  allocation state.  The engine caches keys in an incrementally ordered
+  queue, so a key may change between boundaries only at the points the
+  :class:`SchedulingPolicy` contract lists.
 * ``preemptive`` -- whether a higher-priority job may take the place of a
   running lower-priority one.  Non-preemptive policies only deschedule a
   running job when a fault pushes the usable capacity below the running
@@ -18,6 +20,8 @@ hold an allocation.  It does so through the knobs the engine consumes:
 * ``dynamic_priority`` -- the key drifts as attained service / waiting time
   accumulate, so the engine schedules wake-ups at the exact crossings
   (:meth:`SchedulingPolicy.next_priority_change_hours`).
+* ``progress_keyed`` -- the keys of running jobs follow their progress
+  (remaining work), so the engine re-keys running jobs every boundary.
 * ``lookahead_k`` -- selection runs a k-job look-ahead over the queue head,
   scoring each fitting candidate with
   :meth:`SchedulingPolicy.lookahead_score` instead of a plain priority walk.
@@ -45,7 +49,22 @@ from repro.scheduler.jobs import JobSpec
 class SchedulingPolicy(abc.ABC):
     """Priority order plus preemption behaviour for the engine.
 
-    Subclasses only supply a sort key; the engine does the rest:
+    Subclasses only supply a sort key; the engine does the rest.  It keeps
+    every ranked job's key cached and evaluates :meth:`runtime_key` again
+    only
+
+    * when the job arrives, and whenever its ``allocated`` flag flips;
+    * for ``dynamic_priority`` policies, from shortly before the crossing
+      :meth:`next_priority_change_hours` announced (asked again after every
+      key evaluation and flip) until the key has been re-evaluated;
+    * for ``progress_keyed`` policies, at every boundary while the job is
+      allocated.
+
+    A key may change between boundaries only at those points: a key that
+    drifts any other way must announce it through one of them.  Keys must
+    be unique (end with the submission sequence), and evaluating a key
+    early must be harmless -- per-job policy state (the Gittins promotion)
+    may move only when the key itself changes.
 
     >>> job = JobSpec(name="j", gpus=64, tp_size=32, submit_hour=3.0)
     >>> FifoPolicy().priority_key(job, remaining_work_hours=5.0, sequence=7)
@@ -65,6 +84,9 @@ class SchedulingPolicy(abc.ABC):
     #: Whether keys drift with attained service / waiting time, requiring
     #: engine wake-ups at :meth:`next_priority_change_hours` crossings.
     dynamic_priority: bool = False
+    #: Whether keys of allocated jobs read their progress (remaining work),
+    #: so the engine re-keys running jobs every boundary.
+    progress_keyed: bool = False
     #: Look-ahead window size; ``None`` keeps the plain priority walk.
     lookahead_k: int | None = None
 
@@ -116,7 +138,11 @@ class SchedulingPolicy(abc.ABC):
         Only consulted when ``dynamic_priority`` is set.  For an allocated
         job the clock is productive time (attained service grows); for a
         waiting job it is wall-clock waiting time.  ``None`` means no
-        autonomous change is coming.
+        autonomous change is coming while the job stays in its current
+        mode.  The engine trusts the answer until the job's mode flips or
+        its key is re-evaluated, so it must never overshoot: the key and
+        any per-job policy state stay unchanged until the announced
+        crossing.
         """
         return None
 
@@ -191,6 +217,7 @@ class ShortestRemainingPolicy(SchedulingPolicy):
     """
 
     name = "shortest-remaining"
+    progress_keyed = True
 
     def __init__(self, preemptive: bool = False) -> None:
         self.preemptive = preemptive
@@ -420,6 +447,7 @@ class OptimizerPolicy(SchedulingPolicy):
 
     name = "optimizer"
     default_preemptive = True
+    progress_keyed = True
 
     def __init__(
         self,
