@@ -282,8 +282,7 @@ class _TpPlacementState:
                 for index, group in enumerate(groups)
                 for node in group.nodes
             }
-        # Node set -> ((domain index, nodes in it), ...): a running job's
-        # nodes are held and released again and again under one fault set.
+        # Node set -> ((domain index, nodes in it), ...), see ``shift``.
         self.spreads: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
 
     def copy(self) -> _TpPlacementState:
@@ -312,8 +311,14 @@ class _TpPlacementState:
         self.avail_total += slots - old
         self.avail[index] = slots
 
-    def shift(self, nodes: frozenset[int], delta: int) -> None:
-        """Account ``nodes`` just released (``delta=1``) or held (``-1``)."""
+    def shift(
+        self, nodes: frozenset[int], delta: int, remember: bool = True
+    ) -> None:
+        """Account ``nodes`` just released (``delta=1``) or held (``-1``).
+
+        ``remember`` memoizes the per-domain split of ``nodes``: a running
+        job's node set is held and released again and again.
+        """
         spread = self.spreads.get(nodes)
         if spread is None:
             per_domain: dict[int, int] = {}
@@ -321,7 +326,9 @@ class _TpPlacementState:
                 index = self.node_group.get(node)
                 if index is not None:
                     per_domain[index] = per_domain.get(index, 0) + 1
-            spread = self.spreads[nodes] = tuple(per_domain.items())
+            spread = tuple(per_domain.items())
+            if remember:
+                self.spreads[nodes] = spread
         for index, count in spread:
             self.count[index] += delta * count
             self.free[index] = None
@@ -560,7 +567,14 @@ class ClusterScheduler:
 
     def _tp_state(self, tp_size: int, faults: frozenset[int]) -> _TpPlacementState:
         state = self._tp_states.get(tp_size)
-        if state is None or state.faults != faults:
+        if state is None:
+            # A copy of the empty template, minus what is held already.
+            state = self._template(tp_size, faults).copy()
+            state.faults = faults
+            if self._held:
+                state.shift(frozenset(self._held), -1, remember=False)
+            self._tp_states[tp_size] = state
+        elif state.faults != faults:
             state = _TpPlacementState(
                 faults,
                 self._placement_groups(faults, tp_size),
@@ -892,13 +906,10 @@ class ClusterScheduler:
         # meet any).
         ahead = 0
         if preemptive:
-            # Re-place everyone in priority order, starting from empty
-            # copies of this fault set's per-TP templates.
+            # Re-place everyone in priority order, with per-TP states
+            # copied from this fault set's empty templates on first use.
             self._held.clear()
-            self._tp_states = {
-                tp_size: self._template(tp_size, faults).copy()
-                for tp_size in self._tp_sizes
-            }
+            self._tp_states = {}
             ahead = len(self._running)
         elif self.backfill and policy.strict_order:
             # Backfill reservations project the running jobs' completions.
@@ -908,10 +919,18 @@ class ClusterScheduler:
             return placements
 
         held = self._held
-        states = {
-            tp_size: self._tp_state(tp_size, faults) for tp_size in self._tp_sizes
-        }
-        open_slots = any(state.avail_total for state in states.values())
+        states = self._tp_states
+
+        def may_place() -> bool:
+            # States are built on first use: an unbuilt (or stale) one may
+            # still have free slots.
+            for tp_size in self._tp_sizes:
+                state = states.get(tp_size)
+                if state is None or state.faults != faults or state.avail_total:
+                    return True
+            return False
+
+        open_slots = may_place()
         shadow: float | None = None
         extra = 0.0
         for rt in ranked:
@@ -935,7 +954,12 @@ class ClusterScheduler:
                 held |= nodes
                 self._placed_sync(nodes, -1)
             else:
-                state = states[rt.spec.tp_size]
+                state = states.get(rt.spec.tp_size)
+                if state is None or (
+                    state.faults is not faults and state.faults != faults
+                ):
+                    state = self._tp_state(rt.spec.tp_size, faults)
+                    open_slots = may_place()
                 # Demand bound: a TP with fewer free slots than the job's
                 # TP groups cannot host it, so no plan is attempted.
                 plan = (
@@ -950,7 +974,7 @@ class ClusterScheduler:
                         shadow, extra = self._backfill_window(rt, chosen, faults, t)
                     continue
                 nodes = self._commit_plan(state, plan, rt.spec.tp_size)
-            open_slots = any(state.avail_total for state in states.values())
+            open_slots = may_place()
             placements[rt.sequence] = nodes
             chosen.append(rt)
             if consumes:
