@@ -101,8 +101,9 @@ length, and reproduces a full re-sort and re-walk bit for bit.
   or job progress (look-ahead scores), which always re-walk.
 * The placed walk never plans for a job whose TP has fewer free slots than
   the job's demand, and stops once no slot is free and no running job is
-  left to re-hold; the preemptive re-place starts from copies of per-TP
-  empty templates of the current fault set.
+  left to re-hold.  Free slots are per-domain counts; free-node lists are
+  recomputed only when a plan commits, and the preemptive re-place starts
+  from copies of per-TP empty templates of the current fault set.
 """
 
 from __future__ import annotations
@@ -482,8 +483,8 @@ class ClusterScheduler:
         # Placed-mode bookkeeping: memoized placement domains per (fault
         # set, TP), the nodes currently held by allocated jobs, per-TP
         # free-node states (rebuilt whenever the fault set moves), and per-TP
-        # empty states of the current fault set (the preemptive re-place
-        # starts from copies of these).
+        # empty states of the current fault set (a new state, e.g. each one
+        # of a preemptive re-place, starts as a copy of one).
         self._groups: dict[tuple[frozenset[int], int], tuple[PlacementGroup, ...]] = {}
         self._placed_cap: dict[tuple[frozenset[int], int], int] = {}
         self._held: set[int] = set()
@@ -1034,7 +1035,8 @@ class ClusterScheduler:
         self._held.clear()
         self._tp_states.clear()
         queue = self._queue = _AdmissionQueue()
-        running = self._running = {}
+        self._running = {}
+        running = self._running
         self._rank_running = not placed or policy.preemptive
         dynamic = policy.dynamic_priority
         progress_keyed = policy.progress_keyed
@@ -1259,8 +1261,7 @@ class ClusterScheduler:
                     walked = [runtimes[sequence] for sequence in placements]
                     if policy.preemptive:
                         walked += [
-                            rt for sequence, rt in running.items()
-                            if sequence not in placements
+                            rt for sequence, rt in running.items() if sequence not in placements
                         ]
                     for rt in walked:
                         now_allocated = rt.sequence in placements

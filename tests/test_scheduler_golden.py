@@ -151,7 +151,8 @@ class TestSchedulerGolden:
             for r in stored.values()
             if r["preemptive"]
         )
-        assert {job["tp_size"] for job in stored["mixed-tp/fifo/backfill/packed"]["jobs"]} == {8, 32}
+        mixed = stored["mixed-tp/fifo/backfill/packed"]["jobs"]
+        assert {job["tp_size"] for job in mixed} == {8, 32}
 
 
 if __name__ == "__main__":  # pragma: no cover
