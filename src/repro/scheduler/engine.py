@@ -271,12 +271,17 @@ class _TpPlacementState:
             self.buckets.setdefault(slots, []).append(index)
         if prior_of is not None:
             # Positional identity: indices are unchanged, so only the
-            # domains that were replaced need their entries refreshed.
+            # domains that were replaced need their entries refreshed --
+            # dropping the old members first, since a node can leave every
+            # domain while still held (``shift`` must not count it).
             self.node_group: dict[int, int] = dict(prior.node_group)
-            for index, group in enumerate(groups):
-                if prior_of[index] is not group:
-                    for node in group.nodes:
-                        self.node_group[node] = index
+            replaced = [i for i, group in enumerate(groups) if prior_of[i] is not group]
+            for index in replaced:
+                for node in prior_of[index].nodes:
+                    self.node_group.pop(node, None)
+            for index in replaced:
+                for node in groups[index].nodes:
+                    self.node_group[node] = index
         else:
             self.node_group = {
                 node: index

@@ -2,7 +2,8 @@
 
 Every built-in policy, preemptive and non-preemptive, replays one small
 faulty trace in each capacity mode (expected-value, packed, spread), plus a
-mixed-TP workload and FIFO + backfill.  The full :class:`ClusterReport`
+mixed-TP workload, FIFO + backfill, and a preemptive mixed-TP SiP-Ring run
+whose faulty rings drop out of the domain list while still held.  The full :class:`ClusterReport`
 dicts (per-job timings included) are kept as checked-in JSON and must stay
 **byte-stable**: the engine's bookkeeping (cached priority keys, the
 ordered admission queue, skipped no-op boundaries) may only change how fast
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.faults.trace import FaultEvent, FaultTrace
-from repro.hbd import NVLHBD
+from repro.hbd import NVLHBD, SiPRingHBD
 from repro.scheduler import (
     POLICY_NAMES,
     ClusterScheduler,
@@ -39,17 +40,17 @@ CAPACITY_MODES = (None, "packed", "spread")
 POLICY_KNOBS = {"gittins": {"threshold_gpu_hours": 64.0}, "lookahead": {"k": 3}}
 
 
-def _timeline():
-    """48 nodes, 40 hour-scale faults over the first week (seeded)."""
-    rng = np.random.default_rng(7)
-    starts = rng.uniform(0.0, 150.0, size=40)
-    lengths = rng.uniform(2.0, 20.0, size=40)
-    nodes = rng.integers(0, 48, size=40)
+def _timeline(seed, n_nodes, n_faults, lengths):
+    """Hour-scale faults starting over the first week (seeded)."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(0.0, 150.0, size=n_faults)
+    durations = rng.uniform(*lengths, size=n_faults)
+    nodes = rng.integers(0, n_nodes, size=n_faults)
     events = [
-        FaultEvent(int(node), float(start), float(start + length))
-        for node, start, length in zip(nodes, starts, lengths)
+        FaultEvent(int(node), float(start), float(start + duration))
+        for node, start, duration in zip(nodes, starts, durations)
     ]
-    trace = FaultTrace(n_nodes=48, duration_days=10, events=events, gpus_per_node=4)
+    trace = FaultTrace(n_nodes=n_nodes, duration_days=10, events=events, gpus_per_node=4)
     return trace.interval_timeline()
 
 
@@ -66,6 +67,10 @@ def _single_tp_jobs():
     )
 
 
+def _renamed(jobs, prefix):
+    return [JobSpec.from_dict({**job.to_dict(), "name": prefix + job.name}) for job in jobs]
+
+
 def _mixed_tp_jobs():
     small = generate_workload(
         WorkloadConfig(n_jobs=8, seed=6, tp_size=8, max_gpus=64, median_work_hours=15.0)
@@ -76,37 +81,60 @@ def _mixed_tp_jobs():
             mean_interarrival_hours=6.0, median_work_hours=15.0,
         )
     )
-    renamed = [
-        JobSpec.from_dict({**job.to_dict(), "name": f"tp32-{job.name}"})
-        for job in large
-    ]
-    return (*small, *renamed)
+    return (*small, *_renamed(large, "tp32-"))
+
+
+def _sipring_jobs():
+    """TP 8 and TP 16 on SiP-Ring, whose rings differ per TP size."""
+    small = generate_workload(
+        WorkloadConfig(
+            n_jobs=12, seed=6, tp_size=8, max_gpus=32,
+            mean_interarrival_hours=3.0, median_work_hours=10.0,
+        )
+    )
+    large = generate_workload(
+        WorkloadConfig(
+            n_jobs=8, seed=7, tp_size=16, max_gpus=48, median_tp_groups=1.5,
+            mean_interarrival_hours=5.0, median_work_hours=10.0,
+        )
+    )
+    return (*small, *_renamed(large, "tp16-"))
 
 
 def _cases():
-    """(case id, jobs, policy name, preemptive, placement, backfill)."""
+    """(case id, architecture, timeline, jobs, policy, preemptive, placement, backfill)."""
+    nvl = NVLHBD(36, gpus_per_node=4)
+    timeline = _timeline(7, n_nodes=48, n_faults=40, lengths=(2.0, 20.0))
     single = _single_tp_jobs()
     for name in POLICY_NAMES:
         for preemptive in (False, True):
             for placement in CAPACITY_MODES:
                 mode = "preemptive" if preemptive else "non-preemptive"
                 case = f"{name}/{mode}/{placement or 'expected'}"
-                yield case, single, name, preemptive, placement, False
+                yield case, nvl, timeline, single, name, preemptive, placement, False
     mixed = _mixed_tp_jobs()
-    yield "mixed-tp/gittins/preemptive/packed", mixed, "gittins", True, "packed", False
-    yield "mixed-tp/fifo/backfill/packed", mixed, "fifo", False, "packed", True
+    case = "mixed-tp/gittins/preemptive/packed"
+    yield case, nvl, timeline, mixed, "gittins", True, "packed", False
+    yield "mixed-tp/fifo/backfill/packed", nvl, timeline, mixed, "fifo", False, "packed", True
     for placement in CAPACITY_MODES:
         case = f"fifo/backfill/{placement or 'expected'}"
-        yield case, single, "fifo", False, placement, True
+        yield case, nvl, timeline, single, "fifo", False, placement, True
+    # Rings that leave the domain list while their healthy nodes stay held
+    # by a running job, re-placed preemptively across two TP sizes.
+    sipring = SiPRingHBD(4)
+    ring_timeline = _timeline(6, n_nodes=32, n_faults=16, lengths=(1.0, 30.0))
+    ring_jobs = _sipring_jobs()
+    for name in ("fifo", "optimizer"):
+        case = f"sip-ring/mixed-tp/{name}/preemptive/packed"
+        yield case, sipring, ring_timeline, ring_jobs, name, True, "packed", False
 
 
 def scheduler_reports():
-    timeline = _timeline()
     reports = {}
-    for case, jobs, name, preemptive, placement, backfill in _cases():
+    for case, arch, timeline, jobs, name, preemptive, placement, backfill in _cases():
         policy = policy_by_name(name, preemptive=preemptive, **POLICY_KNOBS.get(name, {}))
         report = ClusterScheduler(
-            NVLHBD(36, gpus_per_node=4),
+            arch,
             timeline,
             jobs,
             policy=policy,
@@ -139,7 +167,7 @@ class TestSchedulerGolden:
 
     def test_golden_is_non_degenerate(self):
         stored = json.loads(GOLDEN.read_text())
-        assert len(stored) == len(POLICY_NAMES) * 2 * len(CAPACITY_MODES) + 5
+        assert len(stored) == len(POLICY_NAMES) * 2 * len(CAPACITY_MODES) + 7
         for case, report in stored.items():
             assert report["finished_jobs"] == report["n_jobs"], case
         placed = [r for r in stored.values() if r["placement"] is not None]
