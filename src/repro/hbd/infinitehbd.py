@@ -10,14 +10,15 @@ cluster simulations.  The relevant behaviour:
 * each healthy segment is packed with TP groups of ``ceil(tp/R)`` nodes;
 * the remainder of each segment is the only fragmentation loss.
 
-The adapter also implements the O(delta) incremental replay
+The adapter also implements the incremental replay
 (:meth:`~repro.hbd.base.HBDArchitecture.breakdown_delta`): a node flip only
 affects the healthy segment(s) it touches, bounded by the nearest
 *breakpoints* (fault runs of ``>= K`` consecutive nodes, the Appendix C
-notion).  Each flip therefore scans the sorted fault set outward from the
-flipped node until it hits a breakpoint on each side, re-sweeps only the
-faults in between, and leaves the rest of the ring untouched -- the cost is
-local to the affected segment, independent of the cluster size.
+notion).  The replay state keeps an index of those runs, so a flip walks the
+fault runs adjacent to the node, finds the two bounding breakpoints by
+bisect, counts the healthy nodes of the affected segments by bisecting the
+sorted fault list, and updates the index -- O(log m + run length) for ``m``
+faults, with the sorted-list updates adding an O(m) memory move.
 """
 
 from __future__ import annotations
@@ -30,51 +31,166 @@ from repro.hbd.base import DeltaReplayState, HBDArchitecture, PlacementGroup
 
 
 class _KHopDelta:
-    """Sorted fault list backing the local incremental update."""
+    """Incremental payload of the K-hop local update.
 
-    __slots__ = ("faults",)
-
-    def __init__(self, faults: list[int]) -> None:
-        self.faults = faults
-
-
-def _span_capacity(
-    faults: list[int], lo: int, hi: int, k: int, npg: int, tp_size: int
-) -> int:
-    """Capacity of the healthy segments inside the span ``[lo, hi]``.
-
-    ``faults`` are the sorted (unwrapped) faulty positions within the span,
-    whose two bounds abut breakpoints (or the physical line ends), so fault
-    runs of ``>= k`` inside it cut segments and shorter runs are bridged.
-    Runs touching the span bounds merge into the bounding breakpoint / end,
-    which the sweep handles naturally (they only ever cut an empty prefix
-    or suffix).
+    Holds the fault set (for walking the runs next to a node), the same
+    faults as a sorted list (for counting the faults of a range by bisect),
+    and the *breakpoint index*: every maximal fault run of ``>= k`` nodes,
+    keyed by its first node, with the keys kept sorted.  On a ring a run may
+    wrap ``n - 1 -> 0`` (its key is then its start near the end); a fully
+    faulty ring has no start and is not indexed.  ``npg`` (nodes per TP
+    group) is fixed for the state's TP size.
     """
-    if hi < lo:
-        return 0
-    total = 0
-    healthy = 0
-    run = 0
-    pos = lo
-    for fault in faults:
-        gap = fault - pos
-        if gap > 0:
-            if run >= k:
-                total += (healthy // npg) * tp_size
-                healthy = 0
-            healthy += gap
-            run = 1
+
+    __slots__ = ("n", "k", "ring", "npg", "tp_size", "faults", "sorted", "runs", "starts")
+
+    def __init__(
+        self, n: int, k: int, ring: bool, npg: int, tp_size: int, faulty: frozenset[int]
+    ) -> None:
+        self.n, self.k, self.ring = n, k, ring
+        self.npg, self.tp_size = npg, tp_size
+        self.faults = set(faulty)
+        self.sorted = sorted(faulty)
+        self.runs = self._build_runs()
+        self.starts = sorted(self.runs)
+
+    def _build_runs(self) -> dict[int, int]:
+        """Breakpoint runs (start -> length) rebuilt from the fault set."""
+        n, faults = self.n, self.faults
+        if len(faults) == n and self.ring:
+            return {}
+        runs: dict[int, int] = {}
+        for node in self.sorted:
+            before = node - 1 if node > 0 else (n - 1 if self.ring else -1)
+            if before in faults:
+                continue
+            length = 1
+            limit = n if self.ring else n - node
+            while length < limit and (node + length) % n in faults:
+                length += 1
+            if length >= self.k:
+                runs[node] = length
+        return runs
+
+    def _indexed(self, length: int) -> bool:
+        return length >= self.k and (length < self.n or not self.ring)
+
+    def _add_run(self, start: int, length: int) -> None:
+        if self._indexed(length):
+            self.runs[start] = length
+            bisect.insort(self.starts, start)
+
+    def _drop_run(self, start: int, length: int) -> None:
+        if self._indexed(length):
+            del self.runs[start]
+            del self.starts[bisect.bisect_left(self.starts, start)]
+
+    def _cap(self, healthy: int) -> int:
+        return (healthy // self.npg) * self.tp_size
+
+    def _healthy(self, lo: int, hi: int) -> int:
+        """Healthy nodes in the (unwrapped, shorter than ``n``) range ``[lo, hi]``."""
+        if hi < lo:
+            return 0
+        faults, n = self.sorted, self.n
+        lo_m = lo % n
+        hi_m = lo_m + (hi - lo)
+        if hi_m < n:
+            inside = bisect.bisect_right(faults, hi_m) - bisect.bisect_left(faults, lo_m)
         else:
-            run += 1
-        pos = fault + 1
-    tail = hi - pos + 1
-    if tail > 0:
-        if run >= k:
-            total += (healthy // npg) * tp_size
-            healthy = 0
-        healthy += tail
-    total += (healthy // npg) * tp_size
-    return total
+            inside = (len(faults) - bisect.bisect_left(faults, lo_m)) + (
+                bisect.bisect_right(faults, hi_m - n)
+            )
+        return hi - lo + 1 - inside
+
+    def flip(self, node: int, failed: bool) -> int:
+        """Change in usable GPUs when ``node`` flips; updates the payload.
+
+        ``left`` / ``right`` are the fault runs ending just before and
+        starting just after ``node`` (``L`` / ``R``); with ``node`` faulty
+        they merge into one run ``M``.  The index is taken to the state
+        without ``L``, ``R`` and ``M``, so the nearest remaining breakpoints
+        bound every segment the flip can change; failing and recovering are
+        the same computation with opposite signs.
+        """
+        n, faults = self.n, self.faults
+        left = right = 0
+        if self.ring:
+            while right < n - 1 and (node + right + 1) % n in faults:
+                right += 1
+            while left + right < n - 1 and (node - left - 1) % n in faults:
+                left += 1
+        else:
+            while node + right + 1 < n and node + right + 1 in faults:
+                right += 1
+            while node - left - 1 >= 0 and node - left - 1 in faults:
+                left += 1
+        start_l = (node - left) % n
+        start_r = (node + 1) % n
+        merged = left + right + 1
+        if failed:
+            if left:
+                self._drop_run(start_l, left)
+            if right:
+                self._drop_run(start_r, right)
+        else:
+            self._drop_run(start_l, merged)
+            faults.discard(node)
+            del self.sorted[bisect.bisect_left(self.sorted, node)]
+
+        delta = self._fail_delta(node, left, right)
+
+        if failed:
+            faults.add(node)
+            bisect.insort(self.sorted, node)
+            self._add_run(start_l, merged)
+            return delta
+        if left:
+            self._add_run(start_l, left)
+        if right:
+            self._add_run(start_r, right)
+        return -delta
+
+    def _fail_delta(self, node: int, left: int, right: int) -> int:
+        """Capacity change of failing the healthy ``node`` between runs
+        ``L`` (``left`` faults) and ``R`` (``right`` faults), with neither
+        of them nor their merger in the breakpoint index."""
+        n, k, cap = self.n, self.k, self._cap
+        cut_l, cut_r, cut_m = left >= k, right >= k, left + right + 1 >= k
+        starts = self.starts
+        if self.ring and not starts:
+            # No other breakpoint: every other healthy node lies in one
+            # arc from the end of R round to the start of L.
+            rest = n - 1 - len(self.sorted)
+            before = cap(rest) + cap(1) if cut_l and cut_r else cap(rest + 1)
+            return cap(rest) - before
+        index = bisect.bisect_right(starts, node)
+        if self.ring:
+            q_start = starts[index % len(starts)]
+            if q_start < node:
+                q_start += n
+            p_start = starts[index - 1]
+            p_len = self.runs[p_start]
+            if p_start > node:
+                p_start -= n
+            lo, hi = p_start + p_len, q_start - 1
+        else:
+            lo = starts[index - 1] + self.runs[starts[index - 1]] if index else 0
+            hi = starts[index] - 1 if index < len(starts) else n - 1
+        # Healthy nodes of the span left of L and right of R; L and R hold
+        # none, and ``node`` sits between them.
+        a = self._healthy(lo, node - left - 1)
+        c = self._healthy(node + right + 1, hi)
+        if cut_l and cut_r:
+            before = cap(a) + cap(1) + cap(c)
+        elif cut_l:
+            before = cap(a) + cap(1 + c)
+        elif cut_r:
+            before = cap(a + 1) + cap(c)
+        else:
+            before = cap(a + 1 + c)
+        after = cap(a) + cap(c) if cut_m else cap(a + c)
+        return after - before
 
 
 class InfiniteHBDArchitecture(HBDArchitecture):
@@ -136,86 +252,11 @@ class InfiniteHBDArchitecture(HBDArchitecture):
     def _delta_init(
         self, n_nodes: int, faulty: frozenset[int], tp_size: int
     ) -> tuple[int, _KHopDelta]:
-        usable = self.topology(n_nodes).usable_gpus(faulty, tp_size)
-        return usable, _KHopDelta(sorted(faulty))
+        topo = self.topology(n_nodes)
+        usable = topo.usable_gpus(faulty, tp_size)
+        npg = topo.nodes_per_tp_group(tp_size)
+        return usable, _KHopDelta(n_nodes, self.k, self.ring, npg, tp_size, faulty)
 
     def _delta_flip(self, state: DeltaReplayState, node: int, failed: bool) -> int:
         aux: _KHopDelta = state.aux
-        if failed:
-            delta = self._fail_delta(aux.faults, node, state)
-            bisect.insort(aux.faults, node)
-            return delta
-        # Recovering ``node`` is exactly the inverse of failing it against
-        # the fault set without it.
-        del aux.faults[bisect.bisect_left(aux.faults, node)]
-        return -self._fail_delta(aux.faults, node, state)
-
-    def _fail_delta(
-        self, faults: list[int], node: int, state: DeltaReplayState
-    ) -> int:
-        """Capacity change of failing the (currently healthy) ``node``."""
-        n, tp_size = state.n_nodes, state.tp_size
-        k = self.k
-        npg = self.nodes_per_tp_group(tp_size)
-
-        right_anchor, right_faults = self._scan(faults, node, n, forward=True)
-        left_anchor, left_faults = self._scan(faults, node, n, forward=False)
-
-        if self.ring and (right_anchor is None or left_anchor is None):
-            # No breakpoint anywhere: the ring is one segment, and stays one
-            # segment after the flip (a single breakpoint cuts a ring into
-            # one open segment, not two).
-            healthy = n - len(faults)
-            return ((healthy - 1) // npg - healthy // npg) * tp_size
-
-        lo = (left_anchor + 1) if left_anchor is not None else 0
-        hi = (right_anchor - 1) if right_anchor is not None else n - 1
-        between = left_faults[::-1] + right_faults
-        before = _span_capacity(between, lo, hi, k, npg, tp_size)
-        index = bisect.bisect_left(between, node)
-        after = _span_capacity(
-            between[:index] + [node] + between[index:], lo, hi, k, npg, tp_size
-        )
-        return after - before
-
-    def _scan(
-        self, faults: list[int], node: int, n: int, forward: bool
-    ) -> tuple[int | None, list[int]]:
-        """Walk the sorted fault list away from ``node`` to the nearest
-        breakpoint (fault run of ``>= k`` consecutive nodes).
-
-        Returns the breakpoint's near edge in unwrapped coordinates (start
-        of the run when walking forward, end when walking backward; ``None``
-        when the scan exhausts the faults first) plus the non-breakpoint
-        faults passed on the way, ordered by distance from ``node``.
-        Positions wrap by ``+- n`` on a ring, so callers can sweep the span
-        between the two anchors linearly.
-        """
-        m = len(faults)
-        passed: list[int] = []
-        if m == 0:
-            return None, passed
-        step = 1 if forward else -1
-        index = bisect.bisect_right(faults, node) if forward else (
-            bisect.bisect_left(faults, node) - 1
-        )
-        run: list[int] = []
-        prev: int | None = None
-        for _ in range(m):
-            if 0 <= index < m:
-                pos = faults[index]
-            elif self.ring:
-                pos = faults[index % m] + (n if forward else -n)
-            else:
-                break
-            if prev is not None and pos == prev + step:
-                run.append(pos)
-            else:
-                passed.extend(run)
-                run = [pos]
-            prev = pos
-            if len(run) >= self.k:
-                return run[0], passed
-            index += step
-        passed.extend(run)
-        return None, passed
+        return aux.flip(node, failed)

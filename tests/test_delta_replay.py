@@ -58,6 +58,38 @@ int_event = st.tuples(
 )
 
 
+def walk_infinitehbd(arch, n, tp_size, faults, moves):
+    """Toggle each move's nodes in one advance.
+
+    After every advance, compare the usable GPUs with the topology and the
+    maintained breakpoint index with one rebuilt from the fault set.
+    """
+    faults = set(faults)
+    state = arch.delta_state(n, faults, tp_size)
+    assert state.usable == arch.usable_gpus(n, faults, tp_size)
+    for nodes in moves:
+        added = {node for node in nodes if node not in faults}
+        removed = nodes - added
+        faults = (faults | added) - removed
+        breakdown, state = arch.breakdown_delta(
+            state, added_faults=added, removed_faults=removed
+        )
+        assert breakdown.usable_gpus == arch.usable_gpus(n, faults, tp_size)
+        assert state.faults == frozenset(faults)
+        rebuilt = arch.delta_state(n, faults, tp_size).aux
+        assert state.aux.runs == rebuilt.runs
+        assert state.aux.starts == rebuilt.starts
+        assert state.aux.sorted == rebuilt.sorted
+        # The index holds every run of >= k faults; the topology's Appendix C
+        # count leaves out runs at the ends of a line.
+        inner = [
+            start for start, length in rebuilt.runs.items()
+            if arch.ring or (start > 0 and start + length < n)
+        ]
+        if n - len(faults) >= 2:
+            assert len(inner) == arch.breakpoints(n, faults)
+
+
 def build_trace(raw_events):
     events = [
         FaultEvent(
@@ -143,40 +175,72 @@ class TestBreakdownDelta:
         breakdown, state = arch.breakdown_delta(state, added_faults={7})
         assert breakdown == arch.breakdown(N_NODES, {1, 2, 7}, 8)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(min_value=2, max_value=40),
+        n=st.integers(min_value=1, max_value=720),
         k=st.integers(min_value=1, max_value=4),
         ring=st.booleans(),
         tp_index=st.integers(0, 3),
-        flips=st.lists(st.integers(min_value=0, max_value=39), max_size=60),
-        initial=st.sets(st.integers(min_value=0, max_value=39), max_size=12),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        converted=st.booleans(),
+        rng=st.randoms(use_true_random=False),
+        flips=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=1.0), st.booleans()),
+            max_size=60,
+        ),
     )
     def test_infinitehbd_local_update_matches_topology(
-        self, n, k, ring, tp_index, flips, initial
+        self, n, k, ring, tp_index, density, converted, rng, flips
     ):
         """The K-hop local update is bit-for-bit the topology recompute.
 
         Every flip only touches the segment(s) within reach of the node
         (bounded by the nearest breakpoints), so this walk stresses run
         merges/splits, wrap-around runs and the no-breakpoint single-segment
-        ring across K, ring/line mode and TP sizes.
+        ring across K, ring/line mode, TP sizes and fault densities up to a
+        fully faulty cluster.  Paired flips toggle two adjacent nodes in one
+        advance, as one 8-GPU node fault does after the 4-GPU conversion;
+        ``converted`` draws the initial faults as such aligned pairs.
         """
         tp_size = (2, 4, 8, 16)[tp_index]
-        arch = InfiniteHBDArchitecture(k=k, gpus_per_node=4, ring=ring)
-        faults = {f for f in initial if f < n}
-        state = arch.delta_state(n, faults, tp_size)
-        assert state.usable == arch.usable_gpus(n, faults, tp_size)
-        for node in flips:
-            node %= n
-            if node in faults:
-                faults.discard(node)
-                breakdown, state = arch.breakdown_delta(state, removed_faults=[node])
-            else:
-                faults.add(node)
-                breakdown, state = arch.breakdown_delta(state, added_faults=[node])
-            assert breakdown.usable_gpus == arch.usable_gpus(n, faults, tp_size)
-            assert state.faults == frozenset(faults)
+        faults = {node for node in range(n) if rng.random() < density}
+        if converted:
+            faults = {pair + half for pair in {f - f % 2 for f in faults}
+                      for half in (0, 1) if pair + half < n}
+        moves = []
+        for position, paired in flips:
+            node = min(int(position * n), n - 1)
+            pair = {node, (node + 1) % n} if paired and (ring or node + 1 < n) else {node}
+            moves.append(pair)
+        walk_infinitehbd(
+            InfiniteHBDArchitecture(k=k, gpus_per_node=4, ring=ring),
+            n, tp_size, faults, moves,
+        )
+
+    @pytest.mark.parametrize(
+        "n, k, ring, initial, moves",
+        [
+            # all but one node faulty, then fully faulty, then back
+            (12, 2, True, set(range(1, 12)), [{0}, {0}, {5}, {0}, {5}]),
+            (12, 3, True, set(range(12)), [{7}, {8}, {7}, {8}, {0, 11}]),
+            # a breakpoint run wrapping n - 1 -> 0, grown and split
+            (20, 2, True, {18, 19, 0, 1}, [{2}, {19}, {17}, {19}, {0}, {10, 11}]),
+            # runs at the two ends of a line
+            (16, 2, False, {0, 1, 2, 14, 15}, [{3}, {13}, {1}, {15}, {0}, {7, 8}]),
+            (16, 3, False, set(range(16)), [{0}, {15}, {8}, {0}, {15}]),
+            # k = 1: every fault is a breakpoint
+            (10, 1, True, {3}, [{4}, {9}, {0}, {3}, {4}, {5, 6}]),
+            (10, 1, False, {0, 9}, [{1}, {8}, {0}, {4, 5}, {9}]),
+            # a single node
+            (1, 2, True, set(), [{0}, {0}]),
+        ],
+    )
+    @pytest.mark.parametrize("tp_size", [4, 8, 16])
+    def test_infinitehbd_edge_cases(self, n, k, ring, initial, moves, tp_size):
+        walk_infinitehbd(
+            InfiniteHBDArchitecture(k=k, gpus_per_node=4, ring=ring),
+            n, tp_size, initial, moves,
+        )
 
     def test_infeasible_tp_stays_zero(self):
         arch = NVLHBD(8, gpus_per_node=4)  # tp 16 > hbd_size 8
