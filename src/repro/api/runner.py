@@ -6,7 +6,7 @@ architecture × TP size), executes them -- in parallel over a forked process
 pool when more than one CPU is available -- and assembles the uniform
 :class:`~repro.api.results.ResultSet`.
 
-Three things make the runner faster than the seed's serial sweep loops even
+Four things make the runner faster than the seed's serial sweep loops even
 on a single core:
 
 * the fault trace is generated once per process and memoized
@@ -15,7 +15,9 @@ on a single core:
   :class:`~repro.faults.timeline.IntervalTimeline` once per (trace, cluster
   size) and that one interval set is replayed across the whole architecture x
   TP sweep -- O(events log events) instead of O(samples x events) grid
-  scans, and
+  scans,
+* each (architecture, TP size, trace, cluster size) cell is replayed once
+  per run, and every capacity experiment of the run reads that replay, and
 * within each replay ``architecture.breakdown()`` is memoized per distinct
   fault set.
 
@@ -29,6 +31,7 @@ now a thin shim over.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -55,7 +58,11 @@ from repro.faults.timeline import IntervalTimeline, serialize_timeline
 from repro.faults.trace import FaultTrace
 from repro.hbd.base import HBDArchitecture
 from repro.mc import TraceBatch, replay_batch, seed_stats
-from repro.simulation.cluster import IntervalSeries, replay_intervals
+from repro.simulation.cluster import (
+    IntervalSeries,
+    StreamingIntervalSeries,
+    replay_intervals,
+)
 from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
 
@@ -108,6 +115,38 @@ def _timeline_for(
     with _TIMELINE_LOCK:
         _TIMELINE_CACHE.setdefault(key, timeline)
     return timeline
+
+
+# ------------------------------------------------------------ per-run replays
+#: Replays of the ``ExperimentRunner.run`` call in progress (``None`` outside
+#: one).  Every capacity experiment of a run reads the one replay of its
+#: (architecture, TP size, trace seeds, cluster size) cell from here, and the
+#: seeds' stacked :class:`TraceBatch` is built once per run.  The memo is per
+#: process (a forked worker replays a cell at most once) and never reaches
+#: task lists, rows or cache keys.
+_RUN_MEMO: dict[tuple[Any, ...], Any] | None = None
+
+
+def _per_run(key: tuple[Any, ...], build: Callable[[], Any]) -> Any:
+    """``build()``, computed once per key within the current run."""
+    memo = _RUN_MEMO
+    if memo is None:
+        return build()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+    return value
+
+
+def _cell_key(kind: str, spec: ExperimentSpec, payload: Mapping[str, Any]) -> tuple[Any, ...]:
+    """Memo key of one capacity cell: everything its replay depends on."""
+    return (
+        kind,
+        json.dumps(payload["arch"], sort_keys=True),
+        payload["tp_size"],
+        tuple(_seed_trace_specs(spec)),
+        spec.scenario.n_nodes,
+    )
 
 
 # ------------------------------------------------ concrete-object sweep helpers
@@ -232,11 +271,18 @@ def _run_capacity_multi_seed(
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
     trace_specs = _seed_trace_specs(spec)
-    timelines = [_timeline_for(ts, scenario.n_nodes) for ts in trace_specs]
-    batch = TraceBatch.from_timelines(
-        timelines, seeds=[ts.seed for ts in trace_specs]
+
+    def build_batch() -> TraceBatch:
+        timelines = [_timeline_for(ts, scenario.n_nodes) for ts in trace_specs]
+        return TraceBatch.from_timelines(
+            timelines, seeds=[ts.seed for ts in trace_specs]
+        )
+
+    batch = _per_run(("batch", tuple(trace_specs), scenario.n_nodes), build_batch)
+    batch_series = _per_run(
+        _cell_key("batch_series", spec, payload),
+        lambda: replay_batch(architecture, batch, tp_size),
     )
-    batch_series = replay_batch(architecture, batch, tp_size)
     base = batch_series.series_for_seed(0)
 
     per_seed: list[dict[str, Any]]
@@ -300,14 +346,21 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    timeline = _timeline_for(scenario.trace, scenario.n_nodes)
-    # Aggregate-only experiments replay in streaming mode: the sweep walks
-    # the intervals once (O(delta) per step when the architecture supports
-    # it) and never materialises the interval list.  "waste" emits the
-    # piecewise-constant step series, so it keeps the materialised replay.
-    series = replay_intervals(
-        architecture, timeline, tp_size, streaming=experiment != "waste"
+    materialised: IntervalSeries = _per_run(
+        _cell_key("series", spec, payload),
+        lambda: replay_intervals(
+            architecture, _timeline_for(scenario.trace, scenario.n_nodes), tp_size
+        ),
     )
+    # "waste" emits the piecewise-constant step series.  The aggregate-only
+    # experiments read the streaming accumulators folded from the same
+    # replay, so their floats are exactly those of a streaming replay.
+    series: IntervalSeries | StreamingIntervalSeries = materialised
+    if experiment != "waste":
+        series = _per_run(
+            _cell_key("stream", spec, payload),
+            lambda: StreamingIntervalSeries.from_series(materialised),
+        )
 
     if experiment == "waste":
         # Duration-weighted exact aggregates -- independent of any sampling
@@ -809,6 +862,14 @@ class ExperimentRunner:
 
     def run(self) -> ResultSet:
         """Execute all tasks (cache-first, parallel on miss), stamp provenance."""
+        global _RUN_MEMO
+        _RUN_MEMO = {}
+        try:
+            return self._run()
+        finally:
+            _RUN_MEMO = None
+
+    def _run(self) -> ResultSet:
         payloads = self.tasks()
         mode = self.spec.cache
         cache_stats: CacheStats | None = None

@@ -240,14 +240,36 @@ class StreamingIntervalSeries:
     waste: StreamingDistribution = field(default_factory=StreamingDistribution)
     usable: StreamingDistribution = field(default_factory=StreamingDistribution)
 
+    @classmethod
+    def from_series(cls, series: IntervalSeries) -> StreamingIntervalSeries:
+        """Fold a materialised replay interval by interval, in order.
+
+        Bit-for-bit the series ``replay_intervals(..., streaming=True)``
+        returns for the same replay: the accumulators see the same values
+        in the same order.
+        """
+        out = cls(total_gpus=series.total_gpus)
+        for start, end, waste, usable in zip(
+            series.starts_hours, series.ends_hours, series.waste_ratios,
+            series.usable_gpus, strict=True,
+        ):
+            out._add(start, end, waste, usable)
+        return out
+
     def _fold(self, interval, breakdown: WasteBreakdown) -> None:
+        self._add(
+            interval.start_hour, interval.end_hour,
+            breakdown.waste_ratio, breakdown.usable_gpus,
+        )
+
+    def _add(self, start: float, end: float, waste: float, usable: int) -> None:
         if self.n_intervals == 0:
-            self.start_hour = interval.start_hour
-        self.end_hour = interval.end_hour
+            self.start_hour = start
+        self.end_hour = end
         self.n_intervals += 1
-        duration = interval.duration_hours
-        self.waste.add(breakdown.waste_ratio, duration)
-        self.usable.add(breakdown.usable_gpus, duration)
+        duration = end - start
+        self.waste.add(waste, duration)
+        self.usable.add(usable, duration)
 
     def __len__(self) -> int:
         return self.n_intervals
