@@ -16,8 +16,10 @@ on a single core:
   size) and that one interval set is replayed across the whole architecture x
   TP sweep -- O(events log events) instead of O(samples x events) grid
   scans,
-* each (architecture, TP size, trace, cluster size) cell is replayed once
-  per run, and every capacity experiment of the run reads that replay, and
+* when a run asks for more than one capacity experiment, each
+  (architecture, TP size, trace, cluster size) cell is replayed once per
+  run and every capacity experiment of the run reads that replay (the
+  parallel path deals whole cells to workers), and
 * within each replay ``architecture.breakdown()`` is memoized per distinct
   fault set.
 
@@ -119,12 +121,15 @@ def _timeline_for(
 
 # ------------------------------------------------------------ per-run replays
 #: Replays of the ``ExperimentRunner.run`` call in progress (``None`` outside
-#: one).  Every capacity experiment of a run reads the one replay of its
-#: (architecture, TP size, trace seeds, cluster size) cell from here, and the
-#: seeds' stacked :class:`TraceBatch` is built once per run.  The memo is per
-#: process (a forked worker replays a cell at most once) and never reaches
-#: task lists, rows or cache keys.
+#: one).  When a run asks for more than one capacity experiment, each reads
+#: the one replay of its (architecture, TP size, trace seeds, cluster size)
+#: cell from here; the seeds' stacked :class:`TraceBatch` is built once per
+#: run.  The memo is per process -- the parallel path keeps a cell's tasks on
+#: one worker -- and never reaches task lists, rows or cache keys.
 _RUN_MEMO: dict[tuple[Any, ...], Any] | None = None
+
+#: Experiments that replay one (architecture, TP size) cell's capacity.
+_CAPACITY_EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting")
 
 
 def _per_run(key: tuple[Any, ...], build: Callable[[], Any]) -> Any:
@@ -138,15 +143,24 @@ def _per_run(key: tuple[Any, ...], build: Callable[[], Any]) -> Any:
     return value
 
 
-def _cell_key(kind: str, spec: ExperimentSpec, payload: Mapping[str, Any]) -> tuple[Any, ...]:
-    """Memo key of one capacity cell: everything its replay depends on."""
-    return (
+def _per_cell(
+    kind: str, spec: ExperimentSpec, payload: Mapping[str, Any], build: Callable[[], Any]
+) -> Any:
+    """``build()`` for one capacity cell, shared with the run's other capacity experiments.
+
+    Nothing is kept when the spec asks for only one capacity experiment:
+    no other task would read it.
+    """
+    if sum(e in _CAPACITY_EXPERIMENTS for e in spec.experiments) < 2:
+        return build()
+    key = (
         kind,
         json.dumps(payload["arch"], sort_keys=True),
         payload["tp_size"],
         tuple(_seed_trace_specs(spec)),
         spec.scenario.n_nodes,
     )
+    return _per_run(key, build)
 
 
 # ------------------------------------------------ concrete-object sweep helpers
@@ -279,9 +293,8 @@ def _run_capacity_multi_seed(
         )
 
     batch = _per_run(("batch", tuple(trace_specs), scenario.n_nodes), build_batch)
-    batch_series = _per_run(
-        _cell_key("batch_series", spec, payload),
-        lambda: replay_batch(architecture, batch, tp_size),
+    batch_series = _per_cell(
+        "batch_series", spec, payload, lambda: replay_batch(architecture, batch, tp_size)
     )
     base = batch_series.series_for_seed(0)
 
@@ -346,20 +359,34 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    materialised: IntervalSeries = _per_run(
-        _cell_key("series", spec, payload),
-        lambda: replay_intervals(
-            architecture, _timeline_for(scenario.trace, scenario.n_nodes), tp_size
-        ),
-    )
-    # "waste" emits the piecewise-constant step series.  The aggregate-only
-    # experiments read the streaming accumulators folded from the same
-    # replay, so their floats are exactly those of a streaming replay.
-    series: IntervalSeries | StreamingIntervalSeries = materialised
-    if experiment != "waste":
-        series = _per_run(
-            _cell_key("stream", spec, payload),
-            lambda: StreamingIntervalSeries.from_series(materialised),
+    timeline = _timeline_for(scenario.trace, scenario.n_nodes)
+
+    def materialised() -> IntervalSeries:
+        return _per_cell(
+            "series", spec, payload, lambda: replay_intervals(architecture, timeline, tp_size)
+        )
+
+    # "waste" emits the piecewise-constant step series, so it needs the
+    # materialised replay.  The aggregate-only experiments read streaming
+    # accumulators: folded from the waste replay when the run has one (same
+    # values, same order, so the floats are a streaming replay's), otherwise
+    # from a streaming replay that never builds the interval lists.
+    series: IntervalSeries | StreamingIntervalSeries
+    if experiment == "waste":
+        series = materialised()
+    elif "waste" in spec.experiments:
+        series = _per_cell(
+            "stream",
+            spec,
+            payload,
+            lambda: StreamingIntervalSeries.from_series(materialised()),
+        )
+    else:
+        series = _per_cell(
+            "stream",
+            spec,
+            payload,
+            lambda: replay_intervals(architecture, timeline, tp_size, streaming=True),
         )
 
     if experiment == "waste":
@@ -731,6 +758,22 @@ def _execute_payload(payload: dict[str, Any]) -> list[dict[str, Any]]:
     return _HANDLERS[payload["experiment"]](spec, payload)
 
 
+def _cell_groups(payloads: Sequence[Mapping[str, Any]]) -> list[list[int]]:
+    """Task indices grouped so one capacity cell's experiments stay together.
+
+    The capacity tasks of one (architecture, TP size) cell form one group,
+    which the parallel path hands to a single worker so that the cell is
+    replayed once per run; every other task is a group of its own.
+    """
+    groups: dict[Any, list[int]] = {}
+    for index, payload in enumerate(payloads):
+        key: Any = index
+        if payload["experiment"] in _CAPACITY_EXPERIMENTS:
+            key = (json.dumps(payload["arch"], sort_keys=True), payload["tp_size"])
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
 def _round_robin_chunks(n_items: int, n_chunks: int) -> list[list[int]]:
     """Deal item indices round-robin into at most ``n_chunks`` lists.
 
@@ -929,22 +972,27 @@ class ExperimentRunner:
     def _execute(self, payloads: Sequence[Mapping[str, Any]]) -> list[list[dict[str, Any]]]:
         """Compute tasks fresh: serial in-process, or chunked over a forked pool.
 
-        The parallel path submits one chunk per worker (spec dict pickled
-        once per chunk, not once per task) and ships each shared interval
+        The parallel path deals whole cells (:func:`_cell_groups`)
+        round-robin into one chunk per worker (spec dict pickled once per
+        chunk, not once per task) and ships each shared interval
         timeline as a single shared-memory event-log handle that every
         chunk references; segments are unlinked once the pool is done.
         """
         if not payloads:
             return []
         self._warm_caches(payloads)
-        workers = _resolve_workers(self.max_workers, len(payloads))
+        groups = _cell_groups(payloads)
+        workers = _resolve_workers(self.max_workers, len(groups))
         context = _fork_context() if workers > 1 else None
         if context is None:
             return [_execute_payload(dict(p)) for p in payloads]
 
         transports = self._timeline_transports(payloads)
         spec_dict = self.spec.to_dict()
-        index_chunks = _round_robin_chunks(len(payloads), workers)
+        index_chunks = [
+            sorted(index for group in picks for index in groups[group])
+            for picks in _round_robin_chunks(len(groups), workers)
+        ]
         chunks = [
             {
                 "spec": spec_dict,

@@ -3,10 +3,13 @@
 The ``waste``, ``max_job_scale`` and ``fault_waiting`` experiments of one run
 read the same replay of each (architecture, TP size, trace) cell.  These
 tests count the replays at the names the runner calls, check that sharing
-them changes no row, and check that the memo does not outlive the run.
+them changes no row, that a run without ``waste`` keeps the streaming
+replay, that forked workers split no cell, and that the memo does not
+outlive the run.
 """
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -57,14 +60,21 @@ def rows(results):
 
 @pytest.fixture
 def replay_calls(monkeypatch):
-    """Count the runner's replays, checking each runs inside an active memo."""
-    calls = {"replay_intervals": 0, "replay_batch": 0}
-    for name in calls:
+    """Count the runner's replays, checking each runs inside an active memo.
+
+    ``streaming`` records the ``streaming`` flag of every scalar replay and
+    ``memo_sizes`` the memo's size when each replay starts.
+    """
+    calls = {"replay_intervals": 0, "replay_batch": 0, "streaming": [], "memo_sizes": []}
+    for name in ("replay_intervals", "replay_batch"):
         original = getattr(runner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             assert runner._RUN_MEMO is not None
             calls[_name] += 1
+            calls["memo_sizes"].append(len(runner._RUN_MEMO))
+            if _name == "replay_intervals":
+                calls["streaming"].append(kwargs.get("streaming", False))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(runner, name, counted)
@@ -80,6 +90,31 @@ def test_each_cell_replays_once(replay_calls, num_seeds, replayer):
     assert replay_calls[replayer] == len(ARCHITECTURES) * len(TP_SIZES)
     other = "replay_batch" if replayer == "replay_intervals" else "replay_intervals"
     assert replay_calls[other] == 0
+
+
+@pytest.mark.parametrize(
+    "experiments, streaming",
+    [
+        (("max_job_scale", "fault_waiting"), True),
+        (("fault_waiting", "waste"), False),
+    ],
+)
+def test_streaming_replay_unless_waste_is_run(replay_calls, experiments, streaming):
+    """Without ``waste`` no cell materialises its interval lists."""
+    ExperimentRunner(capacity_spec(experiments)).run()
+    assert replay_calls["streaming"] == [streaming] * (len(ARCHITECTURES) * len(TP_SIZES))
+
+
+@pytest.mark.parametrize("experiment", CAPACITY_EXPERIMENTS)
+@pytest.mark.parametrize("num_seeds", [1, 3])
+def test_single_capacity_experiment_keeps_no_replay(replay_calls, experiment, num_seeds):
+    """Nothing else in the run reads a cell, so no replay is held in the memo."""
+    ExperimentRunner(capacity_spec((experiment,), num_seeds=num_seeds)).run()
+    cells = len(ARCHITECTURES) * len(TP_SIZES)
+    assert replay_calls["replay_intervals"] + replay_calls["replay_batch"] == cells
+    # Multi-seed runs keep only the one stacked TraceBatch.
+    assert set(replay_calls["memo_sizes"]) == {0 if num_seeds == 1 else 1}
+    assert replay_calls["streaming"] == [experiment != "waste"] * (cells if num_seeds == 1 else 0)
 
 
 @pytest.mark.parametrize("num_seeds", [1, 3])
@@ -129,6 +164,42 @@ def test_forked_workers_give_identical_rows():
     serial = ExperimentRunner(spec, max_workers=1).run()
     parallel = ExperimentRunner(spec, max_workers=2).run()
     assert serial == parallel
+
+
+@pytest.mark.parametrize("num_seeds, replayer", [(1, "replay_intervals"), (3, "replay_batch")])
+def test_forked_workers_split_no_cell(monkeypatch, num_seeds, replayer):
+    """6 cells on 4 workers: a task-by-task deal would replay cells twice."""
+    context = runner._fork_context()
+    if context is None:
+        pytest.skip("fork is unavailable")
+    replays = context.Value("i", 0)
+    original = getattr(runner, replayer)
+
+    def counted(*args, **kwargs):
+        with replays.get_lock():
+            replays.value += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, replayer, counted)
+    spec = capacity_spec(num_seeds=num_seeds)
+    parallel = ExperimentRunner(spec, max_workers=4).run()
+    cells = len(ARCHITECTURES) * len(TP_SIZES)
+    assert cells % 4 != 0
+    assert replays.value == cells
+    assert parallel == ExperimentRunner(spec, max_workers=1).run()
+
+
+def test_cell_groups_keep_a_cells_experiments_together():
+    tasks = ExperimentRunner(capacity_spec(CAPACITY_EXPERIMENTS + ("schedule",))).tasks()
+    groups = runner._cell_groups(tasks)
+    cells = len(ARCHITECTURES) * len(TP_SIZES)
+    assert len(groups) == cells + cells  # one per capacity cell + one per schedule task
+    assert sorted(i for group in groups for i in group) == list(range(len(tasks)))
+    for group in groups:
+        cell = {(json.dumps(tasks[i].get("arch"), sort_keys=True), tasks[i]["tp_size"]) for i in group}
+        assert len(cell) == 1
+        kinds = [tasks[i]["experiment"] for i in group]
+        assert kinds in (list(CAPACITY_EXPERIMENTS), ["schedule"])
 
 
 def test_memo_is_dropped_after_run():
