@@ -1,7 +1,11 @@
 """Tests for the synthetic fault-trace generator (Appendix A calibration)."""
 
+import hashlib
+
 import pytest
 
+from repro.api.spec import TraceSpec
+from repro.faults.convert import convert_trace_8gpu_to_4gpu
 from repro.faults.synthetic import (
     SyntheticTraceConfig,
     _lognormal_sigma,
@@ -100,3 +104,98 @@ class TestGeneratedTrace:
         )
         assert trace.n_nodes == 20
         assert trace.statistics().max_fault_ratio <= 0.5
+
+
+def events_digest(trace):
+    """SHA-256 over ``(node_id, start_hour, end_hour)`` of every event, in order.
+
+    ``repr`` of the tuple also pins the value types (plain ``int`` and
+    ``float``, never numpy scalars).
+    """
+    digest = hashlib.sha256()
+    for event in trace.events:
+        digest.update(repr((event.node_id, event.start_hour, event.end_hour)).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+#: ``SyntheticTraceConfig`` kwargs -> (8-GPU digest, 4-GPU conversion digest).
+#: The grid crosses 1 and 400 nodes with 1 and 348 days, plus a sparse
+#: cluster with mid-trace empty days and a high-ratio config that takes the
+#: surplus-repair branch on about a quarter of its days.
+GOLDEN_GRID = [
+    (
+        dict(n_nodes=1, duration_days=1, seed=0),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        dict(n_nodes=1, duration_days=348, seed=0),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        dict(n_nodes=400, duration_days=1, seed=0),
+        "a5c173e3a3c9f0014e4b15b0453743cbad7e424b0a7847bee537496d57201b46",
+        "8cca2643e7f71f10f9af478d87a87851d640856ebbcc517fdf1d60f5267d605f",
+    ),
+    (
+        dict(n_nodes=400, duration_days=348, seed=0),
+        "7c5086ff2a4ca4371f3e77c806dc28352788d26049c03bfb7975da898710db3f",
+        "7a52fee53b9f240e1564d2f3f366f897672611749b17beed96839724b0784375",
+    ),
+    (
+        dict(n_nodes=40, duration_days=90, seed=0),
+        "031c2f39aaeb847813995dd38233a792703e6516c1644aaffcdd87efeab53ece",
+        "d84a7722e003e8d36fdceb75d9518e841d028f8d66f62985cb7e32ae34f5c3e1",
+    ),
+    (
+        dict(
+            n_nodes=64,
+            duration_days=90,
+            mean_fault_ratio=0.2,
+            p99_fault_ratio=0.6,
+            ar1_coefficient=0.2,
+            seed=3,
+        ),
+        "960a7d8b04e6391078da14b32422453a95c0260c476f7eb56489951c1edf1c23",
+        "dd3f275469473637a0b7b0ce647cf4ff86de3be5cff5e97f8f2137851ddc1580",
+    ),
+]
+
+#: ``TraceSpec(days=348, seed=s)`` -> (8-GPU digest, 4-GPU digest): the
+#: trace seeds of perfbench's three parts at benchmark seed 0.
+GOLDEN_SPECS = [
+    (
+        348,
+        "0b249f1e7350347e592836a670b459d33bbdcdd000451bf477a91cd3bfb1545a",
+        "3c984e332531a97c443a2862aefa7314f108250b114d7b90153e91fdcead1226",
+    ),
+    (
+        349,
+        "2e66a173ac6f47c61c9fc550155a4105ee296be2a4d3057be4b281bbb587d3d5",
+        "5728fbd1039fefa80e299b2a8ede2559416427bc0258ada890df43b00b71a3db",
+    ),
+    (
+        350,
+        "a3f3accbf1f8eae66a58b909d2f17b89bb711ec12c4bd5c92c2a0b5c074d5d9b",
+        "164e33053b7d9cb0a439701947856ae0bb03d259e2932463983cdcaba588b88d",
+    ),
+]
+
+
+class TestGoldenDigests:
+    """Pin the generator's and the 8-to-4 conversion's exact output."""
+
+    @pytest.mark.parametrize("kwargs,digest_8gpu,digest_4gpu", GOLDEN_GRID)
+    def test_config_grid(self, kwargs, digest_8gpu, digest_4gpu):
+        config = SyntheticTraceConfig(**kwargs)
+        trace = generate_synthetic_trace(config)
+        assert events_digest(trace) == digest_8gpu
+        converted = convert_trace_8gpu_to_4gpu(trace, seed=config.seed)
+        assert events_digest(converted) == digest_4gpu
+
+    @pytest.mark.parametrize("seed,digest_8gpu,digest_4gpu", GOLDEN_SPECS)
+    def test_trace_specs(self, seed, digest_8gpu, digest_4gpu):
+        assert events_digest(TraceSpec(days=348, seed=seed, gpus_per_node=8).build()) == digest_8gpu
+        assert events_digest(TraceSpec(days=348, seed=seed).build()) == digest_4gpu
