@@ -16,6 +16,7 @@ derives the conversion as follows:
 
 from __future__ import annotations
 
+from itertools import product
 
 import numpy as np
 
@@ -78,24 +79,25 @@ def convert_trace_8gpu_to_4gpu(
         raise ValueError("convert_trace_8gpu_to_4gpu expects an 8-GPU-node trace")
     rng = np.random.default_rng(seed)
     if mean_node_fault_ratio is None:
-        mean_node_fault_ratio = trace.statistics().mean_fault_ratio
+        mean_node_fault_ratio = trace.interval_timeline().mean_fault_ratio()
     p_convert = conversion_probability(
         source_node_ratio=mean_node_fault_ratio,
         source_gpus_per_node=8,
         target_gpus_per_node=4,
     )
 
-    events: list[FaultEvent] = []
-    for event in trace.events:
-        for half in (0, 1):
-            if rng.random() < p_convert:
-                events.append(
-                    FaultEvent(
-                        node_id=event.node_id * 2 + half,
-                        start_hour=event.start_hour,
-                        end_hour=event.end_hour,
-                    )
-                )
+    # One coin per (event, half), drawn event-major: the same doubles, in
+    # the same order, as a per-event loop over both halves.
+    inherits = (rng.random(2 * len(trace.events)) < p_convert).tolist()
+    events = [
+        FaultEvent(
+            node_id=event.node_id * 2 + half,
+            start_hour=event.start_hour,
+            end_hour=event.end_hour,
+        )
+        for (event, half), inherited in zip(product(trace.events, (0, 1)), inherits, strict=True)
+        if inherited
+    ]
     return FaultTrace(
         n_nodes=trace.n_nodes * 2,
         duration_days=trace.duration_days,

@@ -102,79 +102,66 @@ def _daily_ratio_targets(config: SyntheticTraceConfig, rng: np.random.Generator)
 
 
 def generate_synthetic_trace(config: SyntheticTraceConfig | None = None) -> FaultTrace:
-    """Generate a synthetic node-fault trace matching ``config``'s statistics."""
+    """Generate a synthetic node-fault trace matching ``config``'s statistics.
+
+    The faulty set is a boolean node mask.  Every draw happens in a fixed
+    order -- one persistence coin per faulty node in ascending node order,
+    then the surplus-repair or new-fault choice over a sorted node array --
+    so the trace is a pure function of the seed.  ``rng.random(k)`` returns
+    exactly the doubles of ``k`` successive ``rng.random()`` calls, so these
+    batched draws reproduce a per-node scalar loop bit for bit.
+    """
     config = config if config is not None else SyntheticTraceConfig()
     rng = np.random.default_rng(config.seed)
     targets = _daily_ratio_targets(config, rng)
     persistence = 1.0 - 1.0 / config.mean_repair_days
+    n_nodes, days = config.n_nodes, config.duration_days
+    target_counts = np.minimum(np.rint(targets * n_nodes).astype(np.int64), n_nodes)
 
-    faulty: set[int] = set()
-    membership: list[set[int]] = []
-    all_nodes = np.arange(config.n_nodes)
+    # Row ``d + 1`` of ``padded`` is day ``d``'s faulty mask; the healthy
+    # rows before day 0 and after the horizon open and close every event.
+    padded = np.zeros((days + 2, n_nodes), dtype=bool)
+    faulty = np.zeros(n_nodes, dtype=bool)
+    current = faulty.nonzero()[0]  # the faulty nodes, ascending
+    for row, target_count in enumerate(target_counts.tolist(), start=1):
+        persists = rng.random(current.size) < persistence
+        faulty[current[~persists]] = False
+        survivors = current[persists]
+        if survivors.size > target_count:
+            # Repair surplus nodes uniformly at random.
+            surplus = survivors.size - target_count
+            faulty[rng.choice(survivors, size=surplus, replace=False)] = False
+        elif survivors.size < target_count:
+            healthy = (~faulty).nonzero()[0]
+            needed = target_count - survivors.size
+            faulty[rng.choice(healthy, size=needed, replace=False)] = True
+        padded[row] = faulty
+        current = faulty.nonzero()[0]
 
-    for day in range(config.duration_days):
-        target_count = int(round(targets[day] * config.n_nodes))
-        target_count = min(target_count, config.n_nodes)
-
-        # Nodes repaired today (those that do not persist).  Iterate the
-        # fault set in sorted order so the node-to-draw pairing is a pure
-        # function of the seed, not of set-insertion history.
-        survivors = {
-            node for node in sorted(faulty) if rng.random() < persistence
-        }
-        faulty = survivors
-
-        if len(faulty) > target_count:
-            # Repair surplus nodes (oldest-first is irrelevant for the
-            # marginal statistics; repair uniformly at random).
-            surplus = len(faulty) - target_count
-            to_repair = rng.choice(sorted(faulty), size=surplus, replace=False)
-            faulty.difference_update(int(n) for n in to_repair)
-        elif len(faulty) < target_count:
-            healthy = np.setdiff1d(all_nodes, np.fromiter(faulty, dtype=int, count=len(faulty)))
-            needed = min(target_count - len(faulty), healthy.size)
-            if needed > 0:
-                new_faults = rng.choice(healthy, size=needed, replace=False)
-                faulty.update(int(n) for n in new_faults)
-
-        membership.append(set(faulty))
-
-    events = _membership_to_events(membership)
+    # Each node's contiguous faulty days form one event, opened by a
+    # healthy -> faulty edge between consecutive rows and closed by the next
+    # faulty -> healthy edge.  Edges come out day-major, so openings are
+    # already in (start_day, node) order; a stable sort by node pairs each
+    # node's k-th opening with its k-th closing.
+    before, after = padded[:-1], padded[1:]
+    start_days, nodes = np.divmod(np.flatnonzero(after > before), n_nodes)
+    end_days, closing_nodes = np.divmod(np.flatnonzero(before > after), n_nodes)
+    paired_end_days = np.empty_like(end_days)
+    paired_end_days[np.argsort(nodes, kind="stable")] = end_days[
+        np.argsort(closing_nodes, kind="stable")
+    ]
+    events = [
+        FaultEvent(node_id=node, start_hour=start, end_hour=end)
+        for node, start, end in zip(
+            nodes.tolist(),
+            (start_days * HOURS_PER_DAY).tolist(),
+            (paired_end_days * HOURS_PER_DAY).tolist(),
+            strict=True,
+        )
+    ]
     return FaultTrace(
         n_nodes=config.n_nodes,
         duration_days=config.duration_days,
         events=events,
         gpus_per_node=config.gpus_per_node,
     )
-
-
-def _membership_to_events(membership: list[set[int]]) -> list[FaultEvent]:
-    """Merge per-day faulty membership into contiguous fault events."""
-    events: list[FaultEvent] = []
-    open_since: dict = {}
-    for day, members in enumerate(membership):
-        # Close events for nodes that recovered.
-        for node in list(open_since):
-            if node not in members:
-                events.append(
-                    FaultEvent(
-                        node_id=node,
-                        start_hour=open_since.pop(node) * HOURS_PER_DAY,
-                        end_hour=day * HOURS_PER_DAY,
-                    )
-                )
-        # Open events for newly faulty nodes.
-        for node in members:
-            if node not in open_since:
-                open_since[node] = day
-    horizon = len(membership)
-    for node, start_day in open_since.items():
-        events.append(
-            FaultEvent(
-                node_id=node,
-                start_hour=start_day * HOURS_PER_DAY,
-                end_hour=horizon * HOURS_PER_DAY,
-            )
-        )
-    events.sort(key=lambda e: (e.start_hour, e.node_id))
-    return events

@@ -5,10 +5,10 @@ A :class:`TraceBatch` is the multi-seed sibling of one
 event logs (:mod:`repro.faults.events`) of ``n_seeds`` traces over the same
 cluster, concatenated into one structured array with per-seed offsets.  The
 batched replay (:func:`repro.mc.engine.replay_batch`) consumes the whole
-block in one vectorized pass; :meth:`TraceBatch.timeline_for_seed` recovers
-any single seed's exact scalar timeline (bit-for-bit the one
-``IntervalTimeline.from_trace`` would have produced from the same log), so
-per-seed results can always be cross-checked against the scalar engines.
+block in one vectorized pass; :meth:`TraceBatch.timeline_for_seed` returns
+any single seed's exact scalar timeline (the stacked one, or bit-for-bit the
+one ``IntervalTimeline.from_trace`` would have produced from the same log),
+so per-seed results can always be cross-checked against the scalar engines.
 
 :func:`sample_trace_batch` draws synthetic batches directly in columnar
 form: one seeded ``numpy`` generator produces the whole ``(seeds, events)``
@@ -21,7 +21,7 @@ so ``num_seeds=1`` stays bit-for-bit the existing scalar path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 import numpy as np
@@ -39,7 +39,9 @@ class TraceBatch:
     ``log`` holds the per-seed normalized event logs back to back;
     ``event_offsets[i]:event_offsets[i+1]`` is seed ``i``'s slice.  Treat
     the arrays as immutable -- slices are shared zero-copy with the per-seed
-    timelines this batch hands out.
+    timelines this batch sweeps.  ``timelines`` holds the per-seed scalar
+    timelines a batch was stacked from (``None`` for batches drawn or
+    rebuilt in columnar form).
     """
 
     log: NDArray[np.void]
@@ -48,6 +50,7 @@ class TraceBatch:
     gpus_per_node: int
     duration_hours: float
     seeds: tuple[int, ...]
+    timelines: tuple[IntervalTimeline, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -58,6 +61,8 @@ class TraceBatch:
             raise ValueError("event_offsets must have n_seeds + 1 entries")
         if len(self.log) != int(self.event_offsets[-1]):
             raise ValueError("event_offsets do not cover the event log")
+        if self.timelines is not None and len(self.timelines) != len(self.seeds):
+            raise ValueError("timelines must match the number of seeds")
 
     @property
     def n_seeds(self) -> int:
@@ -71,8 +76,9 @@ class TraceBatch:
     ) -> TraceBatch:
         """Stack per-seed scalar timelines (all over the same cluster).
 
-        Each timeline contributes its canonical event log, so
-        :meth:`timeline_for_seed` round-trips every seed exactly.
+        Each timeline contributes its canonical event log, and the batch
+        keeps the timelines themselves, so :meth:`timeline_for_seed` hands
+        every seed back without re-sweeping it.
         """
         if not timelines:
             raise ValueError("at least one timeline is required")
@@ -97,6 +103,7 @@ class TraceBatch:
             gpus_per_node=first.gpus_per_node,
             duration_hours=first.duration_hours,
             seeds=seed_ids,
+            timelines=tuple(timelines),
         )
 
     def event_log_for_seed(self, index: int) -> NDArray[np.void]:
@@ -106,7 +113,9 @@ class TraceBatch:
         return self.log[start:end]
 
     def timeline_for_seed(self, index: int) -> IntervalTimeline:
-        """Seed ``index``'s exact scalar timeline (shares this batch's log)."""
+        """Seed ``index``'s exact scalar timeline: the stacked one, else swept."""
+        if self.timelines is not None:
+            return self.timelines[index]
         log = self.event_log_for_seed(index)
         timeline = IntervalTimeline(
             intervals=intervals_from_event_log(log, self.duration_hours),

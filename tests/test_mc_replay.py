@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api.runner import ExperimentRunner
 from repro.api.spec import ArchitectureSpec, ExperimentSpec, Scenario, TraceSpec
 from repro.faults.events import event_log_from_intervals
-from repro.faults.timeline import IntervalTimeline
+from repro.faults.timeline import IntervalTimeline, intervals_from_event_log
 from repro.faults.trace import FaultEvent, FaultTrace
 from repro.hbd import (
     BigSwitchHBD,
@@ -238,6 +238,65 @@ class TestEventLogCanonical:
         recovered = batch.timeline_for_seed(0)
         assert recovered.intervals == timeline.intervals
         assert np.array_equal(recovered.event_log, timeline.event_log)
+
+
+class TestTimelineForSeed:
+    """``timeline_for_seed`` equals a re-sweep of the seed's log, either way."""
+
+    @staticmethod
+    def _reswept(batch, index):
+        log = batch.event_log_for_seed(index)
+        return intervals_from_event_log(log, batch.duration_hours), log
+
+    def test_stacked_batch_returns_its_timelines_unswept(self, monkeypatch):
+        timelines = [
+            TraceSpec(days=20, seed=seed, source_nodes=40).build().interval_timeline(64)
+            for seed in (3, 4, 5)
+        ]
+        batch = TraceBatch.from_timelines(timelines, seeds=[3, 4, 5])
+        expected = [self._reswept(batch, index) for index in range(batch.n_seeds)]
+
+        def no_sweep(*args):
+            raise AssertionError("stacked timelines must not be re-swept")
+
+        monkeypatch.setattr("repro.mc.batch.intervals_from_event_log", no_sweep)
+        for index, (intervals, log) in enumerate(expected):
+            got = batch.timeline_for_seed(index)
+            assert got is timelines[index]
+            assert got.intervals == intervals
+            assert np.array_equal(got.event_log, log)
+        # The kernel-less scalar fallback reads the stacked timelines too.
+        architecture = InfiniteHBDArchitecture(k=2, gpus_per_node=4)
+        series = replay_batch(architecture, batch, 8)
+        for index, timeline in enumerate(timelines):
+            _assert_series_equal(
+                series.series_for_seed(index), replay_intervals(architecture, timeline, 8)
+            )
+
+    def test_sampled_batch_sweeps_each_seed(self):
+        batch = sample_trace_batch(
+            BatchTraceConfig(n_seeds=3, n_nodes=32, duration_days=10, gpus_per_node=4, seed=2)
+        )
+        assert batch.timelines is None
+        for index in range(batch.n_seeds):
+            intervals, log = self._reswept(batch, index)
+            got = batch.timeline_for_seed(index)
+            assert got.intervals == intervals
+            assert np.array_equal(got.event_log, log)
+
+    def test_timelines_must_match_the_seeds(self):
+        timeline = _timeline(8, 48.0, [(1, 2, 9)])
+        batch = TraceBatch.from_timelines([timeline])
+        with pytest.raises(ValueError, match="timelines"):
+            TraceBatch(
+                log=batch.log,
+                event_offsets=batch.event_offsets,
+                n_nodes=batch.n_nodes,
+                gpus_per_node=batch.gpus_per_node,
+                duration_hours=batch.duration_hours,
+                seeds=batch.seeds,
+                timelines=(timeline, timeline),
+            )
 
 
 class TestSeedStats:

@@ -1,16 +1,21 @@
 """Tests for the synthetic fault-trace generator (Appendix A calibration)."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api.spec import TraceSpec
+from repro.faults import synthetic
 from repro.faults.convert import convert_trace_8gpu_to_4gpu
 from repro.faults.synthetic import (
     SyntheticTraceConfig,
     _lognormal_sigma,
     generate_synthetic_trace,
 )
+from repro.faults.trace import FaultTrace, HOURS_PER_DAY
 
 
 class TestConfigValidation:
@@ -199,3 +204,88 @@ class TestGoldenDigests:
     def test_trace_specs(self, seed, digest_8gpu, digest_4gpu):
         assert events_digest(TraceSpec(days=348, seed=seed, gpus_per_node=8).build()) == digest_8gpu
         assert events_digest(TraceSpec(days=348, seed=seed).build()) == digest_4gpu
+
+
+def _load_reference():
+    """The frozen scalar generator and conversion kept by the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_trace_gen.py"
+    spec = importlib.util.spec_from_file_location("bench_trace_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
+
+
+def _assert_matches_reference(config):
+    """Array generator and conversion equal the scalar reference, event for event."""
+    got = generate_synthetic_trace(config)
+    expected = reference.reference_synthetic_trace(config)
+    assert reference.event_rows(got) == reference.event_rows(expected)
+    got_4gpu = convert_trace_8gpu_to_4gpu(got, seed=config.seed)
+    expected_4gpu = reference.reference_convert(expected, seed=config.seed)
+    assert reference.event_rows(got_4gpu) == reference.event_rows(expected_4gpu)
+    return got
+
+
+def _faulty_counts(trace):
+    counts = np.zeros(int(trace.duration_days), dtype=int)
+    for event in trace.events:
+        counts[int(event.start_hour // HOURS_PER_DAY) : int(event.end_hour // HOURS_PER_DAY)] += 1
+    return counts
+
+
+class TestVectorDrawEdgeCases:
+    """Branches of the batched draws that the typical trace rarely takes."""
+
+    def test_days_with_no_faulty_node(self):
+        # About one faulty node on average: the fault set empties mid-trace,
+        # so some days draw zero persistence coins.
+        trace = _assert_matches_reference(
+            SyntheticTraceConfig(n_nodes=40, duration_days=90, seed=0)
+        )
+        counts = _faulty_counts(trace)
+        first_fault = int(np.flatnonzero(counts)[0])
+        assert (counts[first_fault:] == 0).any()
+
+    def test_target_covers_every_node(self, monkeypatch):
+        real_targets = synthetic._daily_ratio_targets
+
+        def full_every_third_day(config, rng):
+            targets = real_targets(config, rng)
+            targets[::3] = 1.0
+            return targets
+
+        monkeypatch.setattr(synthetic, "_daily_ratio_targets", full_every_third_day)
+        monkeypatch.setattr(reference, "_daily_ratio_targets", full_every_third_day)
+        config = SyntheticTraceConfig(n_nodes=7, duration_days=30, seed=5)
+        trace = _assert_matches_reference(config)
+        counts = _faulty_counts(trace)
+        assert (counts[::3] == config.n_nodes).all()
+        assert (counts[1::3] < config.n_nodes).any()
+
+    def test_single_day_trace(self):
+        trace = _assert_matches_reference(
+            SyntheticTraceConfig(n_nodes=400, duration_days=1, seed=7)
+        )
+        assert len(trace) > 0
+        assert all(
+            (e.start_hour, e.end_hour) == (0.0, HOURS_PER_DAY) for e in trace.events
+        )
+
+    def test_events_open_on_the_last_day_end_at_the_horizon(self):
+        trace = _assert_matches_reference(
+            SyntheticTraceConfig(n_nodes=64, duration_days=90, seed=2)
+        )
+        last_day = [e for e in trace.events if e.end_hour == trace.duration_hours]
+        assert last_day
+        assert len(last_day) == _faulty_counts(trace)[-1]
+
+    def test_converting_an_empty_trace(self):
+        empty = FaultTrace(n_nodes=5, duration_days=3, events=[])
+        got = convert_trace_8gpu_to_4gpu(empty, seed=1)
+        expected = reference.reference_convert(empty, seed=1)
+        assert (got.n_nodes, len(got)) == (expected.n_nodes, len(expected)) == (10, 0)
+        # A one-node cluster rounds every daily target to zero faults.
+        assert len(_assert_matches_reference(SyntheticTraceConfig(n_nodes=1, seed=3))) == 0
