@@ -56,12 +56,17 @@ def reference_synthetic_trace(config=None):
         target_count = int(round(targets[day] * config.n_nodes))
         target_count = min(target_count, config.n_nodes)
 
+        # Nodes repaired today (those that do not persist).  Iterate the
+        # fault set in sorted order so the node-to-draw pairing is a pure
+        # function of the seed, not of set-insertion history.
         survivors = {
             node for node in sorted(faulty) if rng.random() < persistence
         }
         faulty = survivors
 
         if len(faulty) > target_count:
+            # Repair surplus nodes (oldest-first is irrelevant for the
+            # marginal statistics; repair uniformly at random).
             surplus = len(faulty) - target_count
             to_repair = rng.choice(sorted(faulty), size=surplus, replace=False)
             faulty.difference_update(int(n) for n in to_repair)
@@ -87,6 +92,7 @@ def _reference_membership_to_events(membership):
     events = []
     open_since = {}
     for day, members in enumerate(membership):
+        # Close events for nodes that recovered.
         for node in list(open_since):
             if node not in members:
                 events.append(
@@ -96,6 +102,7 @@ def _reference_membership_to_events(membership):
                         end_hour=day * HOURS_PER_DAY,
                     )
                 )
+        # Open events for newly faulty nodes.
         for node in members:
             if node not in open_since:
                 open_since[node] = day
